@@ -3,16 +3,13 @@
 //! These benches back the cost claims of the paper: feature extraction with
 //! deterministic per-packet work (Section 3.2.1, Table 3.4), cheap FCBF +
 //! MLR prediction (Section 3.3.1), lightweight packet/flow sampling
-//! (Section 4.2) and the sketches they are built on. The `extract_*` and
-//! `shed_*` groups compare the fused single-pass data plane against the
-//! historical ten-pass / clone-based implementations; the headline numbers
+//! (Section 4.2) and the sketches they are built on; the headline numbers
 //! are recorded by the `pipeline` bench into `BENCH_pipeline.json`.
 //!
 //! Pass `-- --smoke` for a fast CI-friendly run with reduced iteration
 //! counts.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use netshed_bench::baseline::{clone_flow_sample, clone_packet_sample, TenPassExtractor};
 use netshed_features::FeatureExtractor;
 use netshed_monitor::{flow_sample, packet_sample};
 use netshed_predict::{MlrPredictor, Predictor};
@@ -61,10 +58,6 @@ fn bench_feature_extraction(c: &mut Criterion) {
             ))
         });
     });
-    group.bench_function("ten_pass_baseline", |b| {
-        let mut extractor = TenPassExtractor::with_defaults();
-        b.iter(|| black_box(extractor.extract(&batch)));
-    });
     group.finish();
 }
 
@@ -101,16 +94,9 @@ fn bench_sampling(c: &mut Criterion) {
         let mut rng = StdRng::seed_from_u64(7);
         b.iter(|| black_box(packet_sample(&view, 0.3, &mut rng)));
     });
-    group.bench_function("packet_sample_clone_baseline", |b| {
-        let mut rng = StdRng::seed_from_u64(7);
-        b.iter(|| black_box(clone_packet_sample(&batch, 0.3, &mut rng)));
-    });
     let hasher = H3Hasher::new(13, 9);
     group.bench_function("flow_sample_view", |b| {
         b.iter(|| black_box(flow_sample(&view, 0.3, &hasher)));
-    });
-    group.bench_function("flow_sample_clone_baseline", |b| {
-        b.iter(|| black_box(clone_flow_sample(&batch, 0.3, &hasher)));
     });
     group.finish();
 }

@@ -3,36 +3,29 @@
 //! `BENCH_pipeline.json` (in the working directory, or `$BENCH_OUT` if set)
 //! so the performance trajectory of the repo is tracked PR over PR.
 //!
-//! Eight measurements:
+//! Seven measurements:
 //!
-//! 1. **extract**: fused single-pass feature extraction vs the historical
-//!    ten-pass baseline on a 10k-packet batch — warm (aggregate hashes cached
-//!    on the batch, the steady state for per-query re-extraction) and cold
-//!    (hashes computed as part of the call, the first touch of a batch).
-//! 2. **shedding**: view-based packet/flow sampling vs the clone-based
-//!    baseline, plus a structural check that the view path shares the packet
-//!    store (zero per-packet copies).
-//! 3. **data plane**: intra-run AoS-vs-SoA replay→shed→extract comparison
-//!    over the same in-memory `.nstr` container — the copy-decode +
-//!    clone-shed + ten-pass replica against the borrowed zero-copy decode +
-//!    pooled shed + fused extractor — plus the steady-state allocation
-//!    guard: a warmed shed→shard→finish loop must perform **zero** heap
-//!    allocations per bin (`alloc_per_bin`, counted by this binary's global
-//!    allocator and asserted to be 0).
+//! 1. **extract**: fused single-pass feature extraction on a 10k-packet
+//!    batch — warm (aggregate hashes cached on the batch, the steady state
+//!    for per-query re-extraction) and cold (hashes computed as part of the
+//!    call, the first touch of a batch).
+//! 2. **shedding**: view-based packet/flow sampling, plus a structural check
+//!    that the view path shares the packet store (zero per-packet copies).
+//! 3. **data plane**: replay→shed→extract throughput over an in-memory
+//!    `.nstr` container — borrowed zero-copy decode, pooled shed, fused
+//!    extractor — plus the steady-state allocation guard: a warmed
+//!    shed→shard→finish loop must perform **zero** heap allocations per bin
+//!    (`alloc_per_bin`, counted by this binary's global allocator and
+//!    asserted to be 0).
 //! 4. **pipeline**: packets/second through `Monitor::run` with the paper's
 //!    Chapter 4 query mix under 2× overload.
-//! 5. **control plane**: the same overloaded run with the strategy built
-//!    through the `Strategy` enum vs an explicitly constructed
-//!    `ControlPolicy` trait object — the dispatch overhead of the open
-//!    control plane must stay within noise of the enum baseline.
-//! 6. **prediction plane**: ns per bin of the MLR predict/observe cycle,
-//!    before (per-call allocations) vs after (reused scratch buffers), plus
-//!    the FCBF amortisation of `reselect_every`.
-//! 7. **registry scale**: the service-plane daemon at 10/100/1000 live
+//! 5. **prediction plane**: ns per bin of the MLR predict/observe cycle at
+//!    `reselect_every` 1 and 10 (the FCBF amortisation).
+//! 6. **registry scale**: the service-plane daemon at 10/100/1000 live
 //!    tenants — control-channel registration cost per query and the
 //!    steady-state per-bin cost, with the marginal nanoseconds each
 //!    additional tenant adds per bin.
-//! 8. **parallel scaling**: the 2× overload pipeline at 1/2/4 workers —
+//! 7. **parallel scaling**: the 2× overload pipeline at 1/2/4 workers —
 //!    measured wall-clock throughput, and the execution-plane projection
 //!    (measured per-task costs under the pool's list schedule) for hosts
 //!    with fewer cores than workers — plus the **sharded** row: the same
@@ -43,21 +36,18 @@
 //! Run with `cargo bench -p netshed-bench --bench pipeline`; pass
 //! `-- --smoke` for a fast CI run (fewer iterations, same JSON shape).
 
-use netshed_bench::baseline::{
-    clone_flow_sample, clone_packet_sample, AllocMlrPredictor, TenPassExtractor,
-};
 use netshed_features::{FeatureExtractor, FeatureId, FeatureVector};
 use netshed_monitor::{
     flow_sample, packet_sample, packet_sample_with, AllocationPolicy, ExecStats, Monitor,
-    MonitorConfig, NullObserver, PredictivePolicy, Strategy,
+    MonitorConfig, NullObserver, Strategy,
 };
 use netshed_predict::{MlrConfig, MlrPredictor, Predictor};
 use netshed_queries::{QueryKind, QuerySpec};
 use netshed_service::Daemon;
 use netshed_sketch::H3Hasher;
 use netshed_trace::{
-    decode_batches, decode_batches_shared, encode_batches, Batch, BatchReplay, Bytes, KeepListPool,
-    TraceConfig, TraceGenerator,
+    decode_batches_shared, encode_batches, Batch, BatchReplay, Bytes, KeepListPool, TraceConfig,
+    TraceGenerator,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -121,7 +111,6 @@ fn ten_k_batch(seed: u64) -> Batch {
 
 struct ExtractNumbers {
     packets: usize,
-    tenpass_ns: f64,
     fused_warm_ns: f64,
     fused_cold_ns: f64,
 }
@@ -129,11 +118,6 @@ struct ExtractNumbers {
 fn bench_extract(iterations: u64) -> ExtractNumbers {
     let batch = ten_k_batch(11);
     let packets = batch.len();
-
-    let mut baseline = TenPassExtractor::with_defaults();
-    let tenpass_ns = time_ns(iterations, || {
-        black_box(baseline.extract(&batch));
-    });
 
     // Warm: the batch's aggregate-hash side array is cached after the first
     // call, which is exactly the state every per-query re-extraction sees.
@@ -159,21 +143,18 @@ fn bench_extract(iterations: u64) -> ExtractNumbers {
     });
     let fused_cold_ns = (cold_total_ns - construct_ns).max(0.0);
 
-    ExtractNumbers { packets, tenpass_ns, fused_warm_ns, fused_cold_ns }
+    ExtractNumbers { packets, fused_warm_ns, fused_cold_ns }
 }
 
 struct ShedNumbers {
     packet_view_ns: f64,
-    packet_clone_ns: f64,
     flow_view_ns: f64,
-    flow_clone_ns: f64,
     view_shares_store: bool,
 }
 
 fn bench_shedding(iterations: u64) -> ShedNumbers {
     // Payload-carrying traffic, as on the paper's full-payload traces: the
-    // clone path must copy the payload handles per kept packet, the view
-    // path only records indices.
+    // view path only records indices, whatever the payload volume.
     let batch = TraceGenerator::new(
         TraceConfig::default().with_seed(12).with_mean_packets_per_batch(1e4).with_payloads(true),
     )
@@ -185,54 +166,28 @@ fn bench_shedding(iterations: u64) -> ShedNumbers {
     let packet_view_ns = time_ns(iterations, || {
         black_box(packet_sample(&view, rate, &mut rng));
     });
-    let mut rng = StdRng::seed_from_u64(3);
-    let packet_clone_ns = time_ns(iterations, || {
-        black_box(clone_packet_sample(&batch, rate, &mut rng));
-    });
 
     let hasher = H3Hasher::new(13, 9);
     let flow_view_ns = time_ns(iterations, || {
         black_box(flow_sample(&view, rate, &hasher));
-    });
-    let flow_clone_ns = time_ns(iterations, || {
-        black_box(clone_flow_sample(&batch, rate, &hasher));
     });
 
     let mut rng = StdRng::seed_from_u64(3);
     let (sampled, _) = packet_sample(&view, rate, &mut rng);
     let view_shares_store = sampled.shares_store(&view);
 
-    ShedNumbers { packet_view_ns, packet_clone_ns, flow_view_ns, flow_clone_ns, view_shares_store }
+    ShedNumbers { packet_view_ns, flow_view_ns, view_shares_store }
 }
 
 struct DataPlaneNumbers {
     batches: usize,
     packets: u64,
-    aos_packets_per_sec: f64,
     soa_packets_per_sec: f64,
-    soa_speedup: f64,
     alloc_per_bin: u64,
 }
 
-/// One full AoS data-plane run over an encoded container: copying decode
-/// (`decode_batches` duplicates every payload out of the container), the
-/// clone-based packet sampler and the aggregate-major ten-pass extractor —
-/// the faithful replica of the pre-SoA hot path.
-fn aos_replay_run(encoded: &[u8], rate: f64) -> f64 {
-    let decoded = decode_batches(encoded).expect("decode recorded trace");
-    let mut rng = StdRng::seed_from_u64(5);
-    let mut extractor = TenPassExtractor::with_defaults();
-    let mut acc = 0.0;
-    for batch in &decoded {
-        let (sampled, _) = clone_packet_sample(batch, rate, &mut rng);
-        let (vector, _) = extractor.extract(&sampled);
-        acc += vector.packets();
-    }
-    acc
-}
-
-/// The same run through the SoA path: borrowed zero-copy decode straight
-/// into the column store (payloads are windows into `buffer`), pooled
+/// One full data-plane run over an encoded container: borrowed zero-copy
+/// decode straight into the column store (payloads are windows into `buffer`), pooled
 /// keep-list sampling and the fused single-pass extractor.
 fn soa_replay_run(buffer: &Bytes, rate: f64) -> f64 {
     let decoded = decode_batches_shared(buffer).expect("decode shared trace");
@@ -276,10 +231,8 @@ fn steady_state_pass(
     acc
 }
 
-/// Intra-run AoS-vs-SoA comparison plus the allocation guard, all over one
-/// in-memory `.nstr` container recorded from a payload-carrying trace. Both
-/// paths run in this process within minutes of each other, so the speedup is
-/// a genuine intra-run ratio, not a cross-machine or cross-commit number.
+/// Data-plane replay throughput plus the allocation guard, both over one
+/// in-memory `.nstr` container recorded from a payload-carrying trace.
 fn bench_data_plane(batches: usize, repeats: u32) -> DataPlaneNumbers {
     let rate = 0.5;
     let recorded = TraceGenerator::new(
@@ -290,8 +243,8 @@ fn bench_data_plane(batches: usize, repeats: u32) -> DataPlaneNumbers {
     )
     .batches(batches);
     let packets: u64 = recorded.iter().map(|b| b.len() as u64).sum();
-    let encoded = encode_batches(&recorded, recorded[0].duration_us).expect("encode trace");
-    let buffer = Bytes::from(encoded.clone());
+    let buffer =
+        Bytes::from(encode_batches(&recorded, recorded[0].duration_us).expect("encode trace"));
     drop(recorded);
 
     let best_elapsed = |run: &mut dyn FnMut() -> f64| -> f64 {
@@ -303,7 +256,6 @@ fn bench_data_plane(batches: usize, repeats: u32) -> DataPlaneNumbers {
         }
         best
     };
-    let aos_s = best_elapsed(&mut || aos_replay_run(&encoded, rate));
     let soa_s = best_elapsed(&mut || soa_replay_run(&buffer, rate));
 
     // Allocation guard: decode once (borrowed), warm every per-batch hash
@@ -324,9 +276,7 @@ fn bench_data_plane(batches: usize, repeats: u32) -> DataPlaneNumbers {
     DataPlaneNumbers {
         batches,
         packets,
-        aos_packets_per_sec: packets as f64 / aos_s,
         soa_packets_per_sec: packets as f64 / soa_s,
-        soa_speedup: aos_s / soa_s,
         alloc_per_bin: allocations / batches as u64,
     }
 }
@@ -421,14 +371,12 @@ fn bench_sharded_pipeline_at(batches: usize, shards: usize) -> PipelineNumbers {
 
 struct PredictionPlaneNumbers {
     bins: usize,
-    alloc_ns_per_bin: f64,
     reuse_ns_per_bin: f64,
     reuse_reselect10_ns_per_bin: f64,
 }
 
 /// Times one predict+observe cycle per bin over a synthetic feature stream:
-/// the historical allocating MLR path vs the buffer-reusing predictor (both
-/// reselecting every bin, as the paper does), plus the reusing predictor with
+/// the MLR predictor reselecting every bin (as the paper does) and with
 /// `reselect_every = 10` to show the FCBF amortisation.
 fn bench_prediction_plane(bins: usize) -> PredictionPlaneNumbers {
     fn feature_stream(bins: usize) -> Vec<(FeatureVector, f64)> {
@@ -464,12 +412,6 @@ fn bench_prediction_plane(bins: usize) -> PredictionPlaneNumbers {
         best
     };
 
-    let mut alloc = AllocMlrPredictor::new(MlrConfig::default());
-    let alloc_ns_per_bin = best_ns_per_bin(Box::new(move |features, cycles| {
-        black_box(alloc.predict(features));
-        alloc.observe(features, cycles);
-    }));
-
     let mut reuse = MlrPredictor::new(MlrConfig::default());
     let reuse_ns_per_bin = best_ns_per_bin(Box::new(move |features, cycles| {
         black_box(reuse.predict(features));
@@ -482,7 +424,7 @@ fn bench_prediction_plane(bins: usize) -> PredictionPlaneNumbers {
         amortised.observe(features, cycles);
     }));
 
-    PredictionPlaneNumbers { bins, alloc_ns_per_bin, reuse_ns_per_bin, reuse_reselect10_ns_per_bin }
+    PredictionPlaneNumbers { bins, reuse_ns_per_bin, reuse_reselect10_ns_per_bin }
 }
 
 struct ScalingPoint {
@@ -584,57 +526,6 @@ fn bench_parallel_scaling(batches: usize) -> ScalingNumbers {
     }
 }
 
-struct ControlPlaneNumbers {
-    batches: usize,
-    enum_ns_per_batch: f64,
-    trait_ns_per_batch: f64,
-    overhead: f64,
-}
-
-/// Times the full overloaded pipeline with the built-in strategy constructed
-/// through the enum vs through an explicit `ControlPolicy` trait object.
-/// Both paths run the same policy code, so the difference is pure
-/// construction/dispatch noise — recorded to keep it that way.
-fn bench_control_plane(batches: usize, repeats: u32) -> ControlPlaneNumbers {
-    let recorded = TraceGenerator::new(
-        TraceConfig::default().with_seed(33).with_mean_packets_per_batch(1000.0),
-    )
-    .batches(batches);
-    let specs: Vec<QuerySpec> =
-        QueryKind::CHAPTER4_SET.iter().map(|kind| QuerySpec::new(*kind)).collect();
-    let demand = netshed_monitor::reference::measure_total_demand(&specs, &recorded[..batches / 4])
-        .expect("valid query specs");
-    let capacity = demand / 2.0;
-
-    let time_path = |use_trait: bool| -> f64 {
-        let mut best = f64::INFINITY;
-        for _ in 0..repeats {
-            let mut builder =
-                Monitor::builder().capacity(capacity).no_noise().queries(specs.clone());
-            builder = if use_trait {
-                builder.with_policy(PredictivePolicy::new(netshed_fairness::MmfsPkt))
-            } else {
-                builder.strategy(Strategy::Predictive(AllocationPolicy::MmfsPkt))
-            };
-            let mut monitor = builder.build().expect("valid configuration");
-            let mut source = BatchReplay::new(recorded.clone());
-            let start = Instant::now();
-            black_box(monitor.run(&mut source, &mut NullObserver).expect("run"));
-            best = best.min(start.elapsed().as_nanos() as f64 / batches as f64);
-        }
-        best
-    };
-
-    let enum_ns_per_batch = time_path(false);
-    let trait_ns_per_batch = time_path(true);
-    ControlPlaneNumbers {
-        batches,
-        enum_ns_per_batch,
-        trait_ns_per_batch,
-        overhead: trait_ns_per_batch / enum_ns_per_batch - 1.0,
-    }
-}
-
 struct RegistryScalePoint {
     queries: usize,
     register_ns_per_query: f64,
@@ -708,33 +599,25 @@ fn main() {
     let smoke = criterion::smoke_mode();
     let (iterations, pipeline_batches) = if smoke { (10, 100) } else { (200, 600) };
 
-    eprintln!("extract: fused vs ten-pass on a 10k-packet batch ...");
+    eprintln!("extract: fused single-pass extraction on a 10k-packet batch ...");
     let extract = bench_extract(iterations);
     eprintln!(
-        "  ten-pass {:.0} ns | fused warm {:.0} ns ({:.1}x) | fused cold {:.0} ns ({:.1}x)",
-        extract.tenpass_ns,
-        extract.fused_warm_ns,
-        extract.tenpass_ns / extract.fused_warm_ns,
-        extract.fused_cold_ns,
-        extract.tenpass_ns / extract.fused_cold_ns,
+        "  fused warm {:.0} ns | fused cold {:.0} ns",
+        extract.fused_warm_ns, extract.fused_cold_ns,
     );
 
-    eprintln!("shedding: view vs clone at rate 0.37 on a 10k-packet batch ...");
+    eprintln!("shedding: view sampling at rate 0.37 on a 10k-packet batch ...");
     let shed = bench_shedding(iterations);
     eprintln!(
-        "  packet view {:.0} ns vs clone {:.0} ns | flow view {:.0} ns vs clone {:.0} ns | zero-copy: {}",
-        shed.packet_view_ns, shed.packet_clone_ns, shed.flow_view_ns, shed.flow_clone_ns,
-        shed.view_shares_store,
+        "  packet view {:.0} ns | flow view {:.0} ns | zero-copy: {}",
+        shed.packet_view_ns, shed.flow_view_ns, shed.view_shares_store,
     );
 
-    eprintln!("data plane: AoS vs SoA replay->shed->extract over one .nstr container ...");
+    eprintln!("data plane: replay->shed->extract over one .nstr container ...");
     let data_plane = bench_data_plane(pipeline_batches.min(200), if smoke { 2 } else { 3 });
     eprintln!(
-        "  AoS {:.0} packets/s | SoA {:.0} packets/s | speedup {:.2}x | alloc/bin {}",
-        data_plane.aos_packets_per_sec,
-        data_plane.soa_packets_per_sec,
-        data_plane.soa_speedup,
-        data_plane.alloc_per_bin,
+        "  {:.0} packets/s | alloc/bin {}",
+        data_plane.soa_packets_per_sec, data_plane.alloc_per_bin,
     );
 
     eprintln!("pipeline: Monitor::run over {pipeline_batches} batches under 2x overload ...");
@@ -744,24 +627,11 @@ fn main() {
         pipeline.packets, pipeline.elapsed_s, pipeline.packets_per_sec
     );
 
-    eprintln!("control plane: enum-constructed vs trait-constructed policy ...");
-    let control = bench_control_plane(pipeline_batches.min(200), if smoke { 2 } else { 5 });
-    eprintln!(
-        "  enum {:.0} ns/batch | trait {:.0} ns/batch | overhead {:+.1}%",
-        control.enum_ns_per_batch,
-        control.trait_ns_per_batch,
-        control.overhead * 100.0
-    );
-
-    eprintln!("prediction plane: MLR predict+observe, alloc-per-call vs reused buffers ...");
+    eprintln!("prediction plane: MLR predict+observe, reselecting every bin vs every 10 ...");
     let prediction = bench_prediction_plane(if smoke { 200 } else { 600 });
     eprintln!(
-        "  alloc {:.0} ns/bin | reuse {:.0} ns/bin ({:.2}x) | reuse+reselect10 {:.0} ns/bin ({:.2}x)",
-        prediction.alloc_ns_per_bin,
-        prediction.reuse_ns_per_bin,
-        prediction.alloc_ns_per_bin / prediction.reuse_ns_per_bin,
-        prediction.reuse_reselect10_ns_per_bin,
-        prediction.alloc_ns_per_bin / prediction.reuse_reselect10_ns_per_bin,
+        "  reselect1 {:.0} ns/bin | reselect10 {:.0} ns/bin",
+        prediction.reuse_ns_per_bin, prediction.reuse_reselect10_ns_per_bin,
     );
 
     eprintln!("registry scale: daemon control channel at 10/100/1000 tenants ...");
@@ -846,26 +716,19 @@ fn main() {
     let json = format!(
         "{{\n  \"generated_by\": \"cargo bench -p netshed-bench --bench pipeline{}\",\n  \
          \"smoke\": {},\n  \
-         \"extract_10k_batch\": {{\n    \"packets\": {},\n    \"tenpass_ns\": {:.1},\n    \
-         \"fused_warm_ns\": {:.1},\n    \"fused_cold_ns\": {:.1},\n    \
-         \"speedup_warm\": {:.2},\n    \"speedup_cold\": {:.2}\n  }},\n  \
+         \"extract_10k_batch\": {{\n    \"packets\": {},\n    \
+         \"fused_warm_ns\": {:.1},\n    \"fused_cold_ns\": {:.1}\n  }},\n  \
          \"shedding_10k_batch_rate_0_37\": {{\n    \"packet_view_ns\": {:.1},\n    \
-         \"packet_clone_ns\": {:.1},\n    \"flow_view_ns\": {:.1},\n    \
-         \"flow_clone_ns\": {:.1},\n    \"view_shares_store\": {},\n    \
+         \"flow_view_ns\": {:.1},\n    \"view_shares_store\": {},\n    \
          \"per_packet_copies\": 0\n  }},\n  \
          \"pipeline_2x_overload\": {{\n    \"batches\": {},\n    \"packets\": {},\n    \
          \"elapsed_s\": {:.3},\n    \"packets_per_sec\": {:.0},\n    \
          \"data_plane_batches\": {},\n    \"data_plane_packets\": {},\n    \
-         \"aos_replay_packets_per_sec\": {:.0},\n    \
-         \"soa_replay_packets_per_sec\": {:.0},\n    \"soa_speedup\": {:.2},\n    \
+         \"soa_replay_packets_per_sec\": {:.0},\n    \
          \"alloc_per_bin\": {}\n  }},\n  \
-         \"control_plane_dispatch\": {{\n    \"batches\": {},\n    \
-         \"enum_ns_per_batch\": {:.0},\n    \"trait_ns_per_batch\": {:.0},\n    \
-         \"overhead_fraction\": {:.4}\n  }},\n  \
          \"prediction_plane\": {{\n    \"bins\": {},\n    \
-         \"alloc_ns_per_bin\": {:.0},\n    \"reuse_ns_per_bin\": {:.0},\n    \
-         \"reuse_reselect10_ns_per_bin\": {:.0},\n    \"speedup_reuse\": {:.2},\n    \
-         \"speedup_reuse_reselect10\": {:.2}\n  }},\n  \
+         \"reuse_ns_per_bin\": {:.0},\n    \
+         \"reuse_reselect10_ns_per_bin\": {:.0}\n  }},\n  \
          \"registry_scale\": {{\n    \"bins\": {},\n    \"tenants\": [\n{}\n    ],\n    \
          \"marginal_ns_per_query_per_bin\": {:.0}\n  }},\n  \
          \"parallel_scaling\": {{\n    \"batches\": {},\n    \"host_cores\": {},\n    \
@@ -876,15 +739,10 @@ fn main() {
         if smoke { " -- --smoke" } else { "" },
         smoke,
         extract.packets,
-        extract.tenpass_ns,
         extract.fused_warm_ns,
         extract.fused_cold_ns,
-        extract.tenpass_ns / extract.fused_warm_ns,
-        extract.tenpass_ns / extract.fused_cold_ns,
         shed.packet_view_ns,
-        shed.packet_clone_ns,
         shed.flow_view_ns,
-        shed.flow_clone_ns,
         shed.view_shares_store,
         pipeline.batches,
         pipeline.packets,
@@ -892,20 +750,11 @@ fn main() {
         pipeline.packets_per_sec,
         data_plane.batches,
         data_plane.packets,
-        data_plane.aos_packets_per_sec,
         data_plane.soa_packets_per_sec,
-        data_plane.soa_speedup,
         data_plane.alloc_per_bin,
-        control.batches,
-        control.enum_ns_per_batch,
-        control.trait_ns_per_batch,
-        control.overhead,
         prediction.bins,
-        prediction.alloc_ns_per_bin,
         prediction.reuse_ns_per_bin,
         prediction.reuse_reselect10_ns_per_bin,
-        prediction.alloc_ns_per_bin / prediction.reuse_ns_per_bin,
-        prediction.alloc_ns_per_bin / prediction.reuse_reselect10_ns_per_bin,
         registry.bins,
         registry_points_json,
         registry.marginal_ns_per_query_per_bin,

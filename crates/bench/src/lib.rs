@@ -13,7 +13,6 @@ use netshed_monitor::{BinRecord, Monitor, MonitorConfig, ReferenceRunner, Strate
 use netshed_queries::{QueryOutput, QuerySpec};
 use netshed_trace::{Batch, TraceGenerator, TraceProfile};
 
-pub mod baseline;
 pub mod cli;
 pub mod corpus;
 // Experiment tables iterate these maps straight into stdout, so they are

@@ -5,6 +5,7 @@
 use crate::builder::MonitorBuilder;
 use crate::capture::CaptureBuffer;
 use crate::config::MonitorConfig;
+use crate::driver;
 use crate::error::NetshedError;
 use crate::exec::{self, ExecStats};
 use crate::observer::RunObserver;
@@ -403,10 +404,9 @@ impl Monitor {
     }
 
     /// Whether a measurement interval is currently open (at least one batch
-    /// has been processed since the last [`finish_interval`]
-    /// (Monitor::finish_interval)). Drivers replicating [`Monitor::run`]'s
-    /// loop — like the service-plane daemon — use this to decide whether a
-    /// final flush is due when the source is exhausted.
+    /// has been processed since the last
+    /// [`finish_interval`](Monitor::finish_interval)). The bin driver's
+    /// [`end_run`](crate::driver::end_run) flushes only an open interval.
     pub fn interval_open(&self) -> bool {
         self.current_interval.is_some()
     }
@@ -436,13 +436,13 @@ impl Monitor {
     /// interval — the interval-bookkeeping head of
     /// [`Monitor::process_batch`] without any packet work.
     ///
-    /// [`Monitor::run`] skips empty bins entirely, which is sound for a
-    /// single monitor (the next non-empty batch closes the interval).
-    /// Lock-step lane fleets cannot skip: every lane must close intervals on
-    /// the *same* bins, including lanes that happened to receive no packets
-    /// for a bin whose global batch was non-empty. Such drivers feed every
-    /// lane every bin — non-empty sub-batches through `process_batch`, empty
-    /// ones through this method.
+    /// The bin driver skips globally empty bins, which is sound for a single
+    /// monitor (the next non-empty batch closes the interval). Lock-step
+    /// lane fleets cannot skip per lane: every lane must close intervals on
+    /// the *same* bins, including lanes that received no packets for a bin
+    /// whose global batch was non-empty. The fleet therefore feeds every
+    /// lane every non-empty global bin — non-empty sub-batches through
+    /// `process_batch`, empty ones through this method.
     pub fn advance_empty_bin(&mut self, batch: &Batch) -> Option<Vec<(String, QueryOutput)>> {
         let interval = batch.measurement_interval(self.config.measurement_interval_us);
         let interval_outputs =
@@ -466,6 +466,7 @@ impl Monitor {
     /// and `on_end` receives the summary. Empty time bins are counted and
     /// skipped — a quiet bin mid-stream carries no work and is not an error,
     /// unlike an empty batch handed directly to [`Monitor::process_batch`].
+    /// The loop is the shared [bin driver](crate::driver).
     ///
     /// Infinite sources (like a bare
     /// [`TraceGenerator`](netshed_trace::TraceGenerator)) must be bounded
@@ -480,27 +481,7 @@ impl Monitor {
         S: PacketSource + ?Sized,
         O: RunObserver + ?Sized,
     {
-        let mut summary = RunSummary::default();
-        while let Some(batch) = source.next_batch() {
-            if batch.is_empty() {
-                summary.empty_bins += 1;
-                continue;
-            }
-            observer.on_batch(&batch);
-            let record = self.process_batch(&batch)?;
-            if let Some(outputs) = &record.interval_outputs {
-                observer.on_interval(outputs);
-            }
-            observer.on_decision(record.bin_index, &record.decision);
-            summary.absorb(&record);
-            observer.on_bin(&record);
-        }
-        if self.current_interval.is_some() {
-            let outputs = self.finish_interval();
-            observer.on_interval(&outputs);
-        }
-        observer.on_end(&summary);
-        Ok(summary)
+        driver::run(self, source, observer)
     }
 
     /// Processes one incoming batch and returns the record of what happened.
@@ -1306,31 +1287,6 @@ mod tests {
         monitor
     }
 
-    /// Drives batches through a monitor while folding everything emitted
-    /// into a digest observer (the `Monitor::run` loop, minus the source).
-    fn drive(
-        monitor: &mut Monitor,
-        observer: &mut crate::digest::DigestObserver,
-        batches: &[Batch],
-    ) {
-        use crate::observer::RunObserver;
-        for batch in batches {
-            let record = monitor.process_batch(batch).expect("batch");
-            if let Some(outputs) = &record.interval_outputs {
-                observer.on_interval(outputs);
-            }
-            observer.on_decision(record.bin_index, &record.decision);
-            observer.on_bin(&record);
-        }
-    }
-
-    /// Flushes the final interval into the observer, ending the run.
-    fn flush(monitor: &mut Monitor, observer: &mut crate::digest::DigestObserver) {
-        use crate::observer::RunObserver;
-        let outputs = monitor.finish_interval();
-        observer.on_interval(&outputs);
-    }
-
     /// Measures the unconstrained total demand (queries + overheads) of a
     /// query set over a few batches.
     fn measure_demand(kinds: &[QueryKind], batches: &[Batch]) -> f64 {
@@ -1687,6 +1643,7 @@ mod tests {
     mod checkpoint {
         use super::*;
         use crate::digest::DigestObserver;
+        use netshed_trace::BatchReplay;
 
         fn round_trip(
             config: &MonitorConfig,
@@ -1710,13 +1667,16 @@ mod tests {
             // Uninterrupted reference run.
             let mut reference = build(true);
             let mut reference_digest = DigestObserver::new();
-            drive(&mut reference, &mut reference_digest, batches);
-            flush(&mut reference, &mut reference_digest);
+            reference
+                .run(&mut BatchReplay::new(batches.to_vec()), &mut reference_digest)
+                .expect("run");
 
             // Run to the cut, serialize monitor + digest, drop everything.
             let mut first = build(true);
             let mut digest = DigestObserver::new();
-            drive(&mut first, &mut digest, &batches[..cut]);
+            for batch in &batches[..cut] {
+                driver::drive_bin(&mut first, batch, &mut digest).expect("batch");
+            }
             let mut writer = StateWriter::new();
             first.save_state(&mut writer).expect("save");
             digest.save_state(&mut writer);
@@ -1731,8 +1691,9 @@ mod tests {
             resumed_digest.load_state(&mut reader).expect("digest state");
             reader.finish().expect("no trailing bytes");
             assert_eq!(resumed.query_handles(), reference.query_handles());
-            drive(&mut resumed, &mut resumed_digest, &batches[cut..]);
-            flush(&mut resumed, &mut resumed_digest);
+            resumed
+                .run(&mut BatchReplay::new(batches[cut..].to_vec()), &mut resumed_digest)
+                .expect("run");
 
             assert_eq!(
                 resumed_digest.digest(),

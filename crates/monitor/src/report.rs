@@ -109,16 +109,23 @@ pub struct RunSummary {
 }
 
 impl RunSummary {
-    /// Folds one bin record into the summary.
-    pub fn absorb(&mut self, record: &BinRecord) {
+    /// Folds one processed bin into the summary: one record for a solo
+    /// monitor, one per busy lane for a fleet. `bins` and `cycles_per_bin`
+    /// count the bin once (its lanes' cycles summed); every record with
+    /// query work contributes one prediction-error sample.
+    pub fn fold_bin(&mut self, records: &[BinRecord]) {
         self.bins += 1;
-        self.total_packets += record.incoming_packets;
-        self.total_uncontrolled_drops += record.uncontrolled_drops;
-        self.cycles_per_bin.push(record.total_cycles());
-        if record.query_cycles > 0.0 {
-            self.prediction_errors
-                .push((1.0 - record.predicted_cycles / record.query_cycles).abs());
+        let mut bin_cycles = 0.0;
+        for record in records {
+            self.total_packets += record.incoming_packets;
+            self.total_uncontrolled_drops += record.uncontrolled_drops;
+            bin_cycles += record.total_cycles();
+            if record.query_cycles > 0.0 {
+                self.prediction_errors
+                    .push((1.0 - record.predicted_cycles / record.query_cycles).abs());
+            }
         }
+        self.cycles_per_bin.push(bin_cycles);
     }
 
     /// Fraction of all packets that were dropped without control.
@@ -177,8 +184,8 @@ mod tests {
     #[test]
     fn summary_accumulates_bins_and_drops() {
         let mut summary = RunSummary::default();
-        summary.absorb(&record(100.0, 90.0));
-        summary.absorb(&record(200.0, 210.0));
+        summary.fold_bin(&[record(100.0, 90.0)]);
+        summary.fold_bin(&[record(200.0, 210.0)]);
         assert_eq!(summary.bins, 2);
         assert_eq!(summary.total_packets, 200);
         assert_eq!(summary.total_uncontrolled_drops, 20);
@@ -198,10 +205,10 @@ mod tests {
     fn summaries_compare_for_roundtrip_tests() {
         let mut a = RunSummary::default();
         let mut b = RunSummary::default();
-        a.absorb(&record(100.0, 90.0));
-        b.absorb(&record(100.0, 90.0));
+        a.fold_bin(&[record(100.0, 90.0)]);
+        b.fold_bin(&[record(100.0, 90.0)]);
         assert_eq!(a, b);
-        b.absorb(&record(1.0, 1.0));
+        b.fold_bin(&[record(1.0, 1.0)]);
         assert_ne!(a, b);
     }
 }

@@ -28,6 +28,7 @@
 //! on identical bins and per-interval outputs can be merged query-by-query.
 
 use crate::config::{AllocationPolicy, MonitorConfig, Strategy};
+use crate::driver::{self, BinEngine, BinOutcome};
 use crate::error::NetshedError;
 use crate::exec::{run_tasks_into, ExecStats, TaskTimings};
 use crate::monitor::{Monitor, QueryId};
@@ -270,32 +271,20 @@ impl ShardedMonitor {
     }
 
     /// Processes one global (non-empty) bin: coordinate budgets, split the
-    /// batch over the lanes, dispatch the lanes over the shard threads,
-    /// merge, report.
-    ///
-    /// The observer sees, in order: `on_batch` with the *global* batch; one
-    /// `on_interval` with the lane-merged outputs when this bin closed a
-    /// measurement interval; then per lane in lane order `on_decision` and
-    /// `on_bin` for every lane whose sub-batch was non-empty. The merge
-    /// order is fixed by lane index and registration order, so the stream is
-    /// invariant to `shards` and `workers`.
+    /// batch over the lanes, dispatch the lanes over the shard threads and
+    /// merge.
     ///
     /// Returns the per-lane records in lane order (idle lanes contribute
-    /// none).
-    pub fn process_bin<O>(
-        &mut self,
-        batch: &Batch,
-        observer: &mut O,
-    ) -> Result<Vec<BinRecord>, NetshedError>
-    where
-        O: RunObserver + ?Sized,
-    {
+    /// none) and, when this bin closed a measurement interval, the
+    /// lane-merged outputs. The merge order is fixed by lane index and
+    /// registration order, so the outcome is invariant to `shards` and
+    /// `workers`. Reporting is the [bin driver](crate::driver)'s job.
+    pub fn process_bin(&mut self, batch: &Batch) -> Result<BinOutcome, NetshedError> {
         if batch.is_empty() {
             return Err(NetshedError::EmptyBatch { bin_index: batch.bin_index });
         }
         // lint:allow(telemetry-clock): front-end wall time feeds ExecStats only, never a decision
         let sequential_start = Instant::now();
-        observer.on_batch(batch);
         self.coordinate();
         let lane_count = self.lanes.len();
         let sub_batches = batch.split_shards(lane_count);
@@ -356,31 +345,26 @@ impl ShardedMonitor {
         // an interval on either every lane or none.
         debug_assert!(!interval_closed || closed.len() == self.lanes.len());
 
-        if interval_closed {
-            let merged = merge_interval_outputs(&closed);
-            observer.on_interval(&merged);
-        }
-        for record in &records {
-            observer.on_decision(record.bin_index, &record.decision);
-        }
-        for record in &records {
-            observer.on_bin(record);
-        }
+        let interval = interval_closed.then(|| merge_interval_outputs(&closed));
 
         let merge_ns = merge_start.elapsed().as_nanos() as u64;
         self.exec_stats.fold_bin(sequential_ns + merge_ns, &[self.timings.ns()]);
-        Ok(records)
+        Ok(BinOutcome::Lanes { interval, records })
     }
 
     /// Drives the fleet over a batch source until exhaustion, reporting
     /// progress to `observer` and returning the fleet-merged [`RunSummary`].
     ///
-    /// Mirrors [`Monitor::run`]: globally empty bins are counted and
-    /// skipped; after the last batch the final interval is flushed to
-    /// `on_interval` and `on_end` receives the summary. Summary semantics
-    /// are global: `bins` counts global non-empty bins, `cycles_per_bin`
-    /// sums the lanes' cycles per global bin, and every lane's prediction
-    /// error contributes one sample.
+    /// The loop is the shared [bin driver](crate::driver), as for
+    /// [`Monitor::run`]: globally empty bins are counted and skipped; per
+    /// bin the observer sees `on_batch` with the *global* batch, one
+    /// `on_interval` with the lane-merged outputs when the bin closed an
+    /// interval, then `on_decision` for every busy lane in lane order and
+    /// `on_bin` for every busy lane in lane order; after the last batch the
+    /// final interval is flushed to `on_interval` and `on_end` receives the
+    /// summary. Summary semantics are global: `bins` counts global
+    /// non-empty bins, `cycles_per_bin` sums the lanes' cycles per global
+    /// bin, and every lane's prediction error contributes one sample.
     pub fn run<S, O>(
         &mut self,
         source: &mut S,
@@ -390,33 +374,7 @@ impl ShardedMonitor {
         S: PacketSource + ?Sized,
         O: RunObserver + ?Sized,
     {
-        let mut summary = RunSummary::default();
-        while let Some(batch) = source.next_batch() {
-            if batch.is_empty() {
-                summary.empty_bins += 1;
-                continue;
-            }
-            let records = self.process_bin(&batch, observer)?;
-            summary.bins += 1;
-            let mut bin_cycles = 0.0;
-            for record in &records {
-                summary.total_packets += record.incoming_packets;
-                summary.total_uncontrolled_drops += record.uncontrolled_drops;
-                bin_cycles += record.total_cycles();
-                if record.query_cycles > 0.0 {
-                    summary
-                        .prediction_errors
-                        .push((1.0 - record.predicted_cycles / record.query_cycles).abs());
-                }
-            }
-            summary.cycles_per_bin.push(bin_cycles);
-        }
-        if self.interval_open() {
-            let outputs = self.finish_interval();
-            observer.on_interval(&outputs);
-        }
-        observer.on_end(&summary);
-        Ok(summary)
+        driver::run(self, source, observer)
     }
 
     /// Serialises one lane's monitor state (the `shard.{i}` checkpoint
@@ -469,6 +427,20 @@ impl ShardedMonitor {
             self.lanes[lane].set_bin_capacity(capacity);
         }
         Ok(())
+    }
+}
+
+impl BinEngine for ShardedMonitor {
+    fn process_bin(&mut self, batch: &Batch) -> Result<BinOutcome, NetshedError> {
+        ShardedMonitor::process_bin(self, batch)
+    }
+
+    fn interval_open(&self) -> bool {
+        ShardedMonitor::interval_open(self)
+    }
+
+    fn finish_interval(&mut self) -> Vec<(String, QueryOutput)> {
+        ShardedMonitor::finish_interval(self)
     }
 }
 
@@ -638,7 +610,6 @@ mod tests {
     use super::*;
     use crate::config::AllocationPolicy;
     use crate::digest::DigestObserver;
-    use crate::observer::NullObserver;
     use netshed_queries::{QueryKind, QuerySpec};
     use netshed_trace::{FiveTuple, Packet, TraceConfig, TraceGenerator};
 
@@ -726,13 +697,12 @@ mod tests {
     fn coordinator_lends_idle_headroom_to_the_loaded_lane() {
         let capacity = 5.0e8;
         let mut fleet = fleet(capacity, 4);
-        let mut observer = NullObserver;
 
         // A few warm-up bins prime the loaded lane's predictor (the first
         // prediction is zero); every later coordination round redistributes
         // against its reported demand.
         for bin in 0..6 {
-            fleet.process_bin(&single_pair_batch(bin, 400), &mut observer).expect("bin");
+            fleet.process_bin(&single_pair_batch(bin, 400)).expect("bin");
         }
 
         let share = capacity / 4.0;
@@ -875,9 +845,8 @@ mod tests {
     #[test]
     fn coordinator_state_roundtrips() {
         let mut fleet = fleet(5.0e8, 4);
-        let mut observer = NullObserver;
-        fleet.process_bin(&single_pair_batch(0, 200), &mut observer).expect("bin 0");
-        fleet.process_bin(&single_pair_batch(1, 200), &mut observer).expect("bin 1");
+        fleet.process_bin(&single_pair_batch(0, 200)).expect("bin 0");
+        fleet.process_bin(&single_pair_batch(1, 200)).expect("bin 1");
 
         let mut writer = StateWriter::new();
         fleet.save_coordinator_state(&mut writer).expect("save");

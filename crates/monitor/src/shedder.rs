@@ -4,9 +4,10 @@
 //! Both samplers are zero-copy: they narrow a [`BatchView`] by building a
 //! keep-index list over the batch's shared packet store instead of cloning
 //! packets into a fresh batch. Selection is bit-identical to the historical
-//! clone-based `Batch::filtered` path (same RNG draw order for packet
-//! sampling, same H3 evaluation per packet for flow sampling), which the
-//! shed-equivalence property tests in `tests/properties.rs` pin down.
+//! clone-based path (same RNG draw order for packet sampling, same H3
+//! evaluation per packet for flow sampling), which the shed-equivalence
+//! property tests in `tests/properties.rs` pin down against a test-only
+//! replica of it.
 
 use netshed_sketch::H3Hasher;
 use netshed_trace::{BatchView, KeepListPool};

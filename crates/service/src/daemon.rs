@@ -41,7 +41,7 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 
 use netshed_monitor::{
     DigestObserver, Monitor, MonitorConfig, NetshedError, PredictorKind, QueryId, RunDigest,
-    RunObserver, Strategy,
+    RunSummary, Strategy,
 };
 use netshed_queries::QuerySpec;
 use netshed_sketch::{StateError, StateReader, StateWriter};
@@ -243,6 +243,9 @@ pub struct Daemon<S, M = Monitor> {
     /// replay cursor a restore fast-forwards a fresh source to.
     bins_ingested: u64,
     bins_per_tick: u64,
+    /// Whether the run has ended (source exhausted or shut down) with no bin
+    /// processed since, so `on_end` is reported once per ending.
+    ended: bool,
     shutdown: bool,
 }
 
@@ -263,6 +266,7 @@ impl<S: PacketSource, M: MonitorEngine> Daemon<S, M> {
             handle: tx.clone(),
             bins_ingested: 0,
             bins_per_tick: DEFAULT_BINS_PER_TICK,
+            ended: false,
             shutdown: false,
         };
         (daemon, ControlChannel { tx })
@@ -297,8 +301,9 @@ impl<S: PacketSource, M: MonitorEngine> Daemon<S, M> {
 
     /// Advances the service loop: applies queued commands (at bin
     /// boundaries, in arrival order), then processes up to the configured
-    /// number of non-empty bins, mirroring [`Monitor::run`]'s observer
-    /// sequence exactly.
+    /// number of non-empty bins through the bin driver
+    /// ([`netshed_monitor::driver`]) that [`Monitor::run`] uses, so the
+    /// digest sees exactly the events a batch run reports.
     pub fn tick(&mut self) -> Result<TickStatus, ServiceError> {
         let mut bins = 0u64;
         loop {
@@ -310,20 +315,28 @@ impl<S: PacketSource, M: MonitorEngine> Daemon<S, M> {
                 return Ok(TickStatus::Progressed { bins });
             }
             let Some(batch) = self.source.next_batch() else {
-                if self.monitor.interval_open() {
-                    let outputs = self.monitor.finish_interval();
-                    self.digest.on_interval(&outputs);
-                }
+                self.end_run();
                 return Ok(TickStatus::SourceExhausted);
             };
             self.bins_ingested += 1;
-            if batch.is_empty() {
-                // A quiet bin carries no work; it still advances the replay
-                // cursor and still opens a command window.
-                continue;
+            // A quiet bin carries no work; it still advances the replay
+            // cursor and still opens a command window.
+            if self.monitor.ingest(&batch, &mut self.digest)?.is_some() {
+                self.ended = false;
+                bins += 1;
             }
-            self.monitor.ingest(&batch, &mut self.digest)?;
-            bins += 1;
+        }
+    }
+
+    /// Ends the run through the bin driver — final interval flush, then
+    /// `on_end` — unless it already ended with no bin processed since.
+    ///
+    /// A long-running service keeps no per-bin history (the digest is the
+    /// run's identity), so `on_end` receives an empty [`RunSummary`].
+    fn end_run(&mut self) {
+        if !self.ended {
+            self.monitor.end_run(&mut self.digest, &RunSummary::default());
+            self.ended = true;
         }
     }
 
@@ -363,10 +376,7 @@ impl<S: PacketSource, M: MonitorEngine> Daemon<S, M> {
                     let _ = reply.send(self.checkpoint());
                 }
                 Command::Shutdown { reply } => {
-                    if self.monitor.interval_open() {
-                        let outputs = self.monitor.finish_interval();
-                        self.digest.on_interval(&outputs);
-                    }
+                    self.end_run();
                     self.shutdown = true;
                     let _ = reply.send(Ok(self.digest.digest()));
                     // Commands queued behind the shutdown are dropped; their
@@ -478,6 +488,7 @@ impl<S: PacketSource, M: MonitorEngine> Daemon<S, M> {
             handle: tx.clone(),
             bins_ingested,
             bins_per_tick: DEFAULT_BINS_PER_TICK,
+            ended: false,
             shutdown: false,
         };
         Ok((daemon, ControlChannel { tx }))

@@ -5,19 +5,24 @@
 //! `.nsck` checkpoint/restore — is the same whether one [`Monitor`] or a
 //! [`ShardedMonitor`] fleet does the computing. [`MonitorEngine`] is that
 //! seam: the daemon drives `ingest` per non-empty bin and delegates
-//! registration, policy swaps, interval flushes and state (de)serialisation.
+//! registration, policy swaps and state (de)serialisation; its supertrait
+//! [`BinEngine`] supplies bin processing and the interval primitives
+//! (`interval_open`, `finish_interval`).
 //!
-//! Both implementations uphold the determinism contract the daemon documents:
-//! `ingest` reports to the observer in the exact order `Monitor::run` does
-//! (`on_batch`, `on_interval` when one closed, `on_decision`, `on_bin` — the
-//! sharded engine repeats the decision/record pair per lane in lane order),
-//! and the checkpoint sections capture essential state only, so a restored
-//! engine continues bit-identically at any worker or shard-thread count.
+//! The per-bin observer protocol is not the engine's to implement: `ingest`
+//! and `end_run` are provided methods over the shared bin driver
+//! ([`netshed_monitor::driver`]) — the same loop `Monitor::run` and
+//! `ShardedMonitor::run` use — so a daemon reports exactly what a batch run
+//! reports. The checkpoint sections capture essential state only, so a
+//! restored engine continues bit-identically at any worker or shard-thread
+//! count.
 
+use netshed_monitor::driver::{self, BinEngine, BinOutcome};
 use netshed_monitor::{
-    Monitor, MonitorConfig, NetshedError, QueryId, RunObserver, ShardedMonitor, Strategy,
+    Monitor, MonitorConfig, NetshedError, QueryId, RunObserver, RunSummary, ShardedMonitor,
+    Strategy,
 };
-use netshed_queries::{QueryOutput, QuerySpec};
+use netshed_queries::QuerySpec;
 use netshed_sketch::{StateReader, StateWriter};
 use netshed_trace::Batch;
 
@@ -26,7 +31,7 @@ use crate::snapshot::Snapshot;
 
 /// A computation the service plane can host: ingest bins, answer the control
 /// channel, serialise into named `.nsck` sections.
-pub trait MonitorEngine {
+pub trait MonitorEngine: BinEngine {
     /// Rebuilds a fresh engine from the run's configuration (the restore
     /// path; state is loaded separately through
     /// [`load_sections`](MonitorEngine::load_sections)).
@@ -51,17 +56,22 @@ pub trait MonitorEngine {
     /// Swaps the control policy to a built-in strategy.
     fn set_strategy(&mut self, strategy: Strategy);
 
-    /// Whether a measurement interval is currently open.
-    fn interval_open(&self) -> bool;
+    /// Processes one bin through the bin driver, reporting every event to
+    /// `observer` in the canonical order (starting with `on_batch` for the
+    /// undivided batch). An empty bin is skipped and yields `None`.
+    fn ingest(
+        &mut self,
+        batch: &Batch,
+        observer: &mut dyn RunObserver,
+    ) -> Result<Option<BinOutcome>, NetshedError> {
+        driver::drive_bin(self, batch, observer)
+    }
 
-    /// Flushes the open measurement interval and returns its outputs.
-    fn finish_interval(&mut self) -> Vec<(String, QueryOutput)>;
-
-    /// Processes one non-empty bin, reporting every event to `observer` in
-    /// the engine's canonical (deterministic) order, starting with
-    /// `on_batch` for the undivided batch.
-    fn ingest(&mut self, batch: &Batch, observer: &mut dyn RunObserver)
-        -> Result<(), NetshedError>;
+    /// Ends the run through the bin driver: flushes the open interval to
+    /// `observer`, then hands it `summary`.
+    fn end_run(&mut self, observer: &mut dyn RunObserver, summary: &RunSummary) {
+        driver::end_run(self, observer, summary);
+    }
 
     /// Appends the engine's state sections to a checkpoint under way.
     fn save_sections(&self, snapshot: &mut Snapshot) -> Result<(), ServiceError>;
@@ -106,29 +116,6 @@ impl MonitorEngine for Monitor {
         self.set_policy(strategy.control_policy());
     }
 
-    fn interval_open(&self) -> bool {
-        Monitor::interval_open(self)
-    }
-
-    fn finish_interval(&mut self) -> Vec<(String, QueryOutput)> {
-        Monitor::finish_interval(self)
-    }
-
-    fn ingest(
-        &mut self,
-        batch: &Batch,
-        observer: &mut dyn RunObserver,
-    ) -> Result<(), NetshedError> {
-        observer.on_batch(batch);
-        let record = self.process_batch(batch)?;
-        if let Some(outputs) = &record.interval_outputs {
-            observer.on_interval(outputs);
-        }
-        observer.on_decision(record.bin_index, &record.decision);
-        observer.on_bin(&record);
-        Ok(())
-    }
-
     fn save_sections(&self, snapshot: &mut Snapshot) -> Result<(), ServiceError> {
         let mut section = StateWriter::new();
         self.save_state(&mut section)?;
@@ -167,24 +154,6 @@ impl MonitorEngine for ShardedMonitor {
 
     fn set_strategy(&mut self, strategy: Strategy) {
         ShardedMonitor::set_strategy(self, strategy);
-    }
-
-    fn interval_open(&self) -> bool {
-        ShardedMonitor::interval_open(self)
-    }
-
-    fn finish_interval(&mut self) -> Vec<(String, QueryOutput)> {
-        ShardedMonitor::finish_interval(self)
-    }
-
-    fn ingest(
-        &mut self,
-        batch: &Batch,
-        observer: &mut dyn RunObserver,
-    ) -> Result<(), NetshedError> {
-        // process_bin already runs the full observer protocol (on_batch,
-        // merged on_interval, per-lane on_decision/on_bin in lane order).
-        self.process_bin(batch, observer).map(|_records| ())
     }
 
     fn save_sections(&self, snapshot: &mut Snapshot) -> Result<(), ServiceError> {

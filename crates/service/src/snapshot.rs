@@ -13,13 +13,15 @@
 //! end      kind 0x00 · section count u64 · FNV-1a checksum
 //! ```
 //!
-//! Every multi-byte value is little-endian. A section checksum runs the
-//! fixed metadata (kind, lengths, name) through the byte-serial
-//! [`IncrementalFnv`] and the body — which carries the megabytes of sketch
-//! and history state — through the word-parallel 4-lane
+//! Every multi-byte value is little-endian. The header, the end frame, the
+//! section checksum and the bounds-checked cursor are the container codec
+//! shared with `.nstr` ([`netshed_sketch::container`]): a section checksum
+//! runs the fixed metadata (kind, lengths, name) through the byte-serial FNV
+//! and the body — which carries the megabytes of sketch and history state —
+//! through the word-parallel 4-lane
 //! [`hash_block`](netshed_sketch::hash_block), folding the halves with
 //! [`mix64`](netshed_sketch::mix64): verifying a large snapshot costs memory
-//! bandwidth, not a multiply per byte (the same trade `.nstr` v2 makes).
+//! bandwidth, not a multiply per byte.
 //!
 //! Section *names* are the schema: readers look bodies up by name
 //! ([`Snapshot::section`]), so sections can be appended in later versions
@@ -33,7 +35,8 @@
 //! reports [`SnapshotError::BadMagic`], not `Truncated`; version skew
 //! reports both the found and the expected version, like `.nstr` does.
 
-use netshed_sketch::{hash_block, mix64, IncrementalFnv, StateError};
+use netshed_sketch::container::{ByteCursor, ContainerError, ContainerFormat, FRAME_END};
+use netshed_sketch::StateError;
 
 /// File magic: "NSCK" (netshed checkpoint).
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"NSCK";
@@ -43,10 +46,10 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"NSCK";
 /// the message alone.
 pub const SNAPSHOT_FORMAT_VERSION: u16 = 1;
 
-/// Seed of the container checksums (header, per-section and end frame).
-const CHECKSUM_SEED: u64 = 0x6e73_636b; // "nsck"
+/// The `.nsck` container identity; the checksum seed spells "nsck".
+const SNAPSHOT: ContainerFormat =
+    ContainerFormat { magic: SNAPSHOT_MAGIC, version: SNAPSHOT_FORMAT_VERSION, seed: 0x6e73_636b };
 
-const FRAME_END: u8 = 0;
 const FRAME_SECTION: u8 = 1;
 
 /// Errors produced while encoding or decoding a `.nsck` container.
@@ -137,6 +140,20 @@ impl From<StateError> for SnapshotError {
     }
 }
 
+impl From<ContainerError> for SnapshotError {
+    fn from(error: ContainerError) -> Self {
+        match error {
+            ContainerError::BadMagic { found } => SnapshotError::BadMagic { found },
+            ContainerError::UnsupportedVersion { found, expected } => {
+                SnapshotError::UnsupportedVersion { found, expected }
+            }
+            ContainerError::ChecksumMismatch { location } => {
+                SnapshotError::ChecksumMismatch { location: location.into() }
+            }
+        }
+    }
+}
+
 /// An in-memory `.nsck` container: an ordered list of named byte sections.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Snapshot {
@@ -176,35 +193,19 @@ impl Snapshot {
     /// the same order produce the same bytes, which is what makes
     /// save→load→save byte-identical.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        // Header: 16 fixed bytes + their FNV checksum.
-        out.extend_from_slice(&SNAPSHOT_MAGIC);
-        out.extend_from_slice(&SNAPSHOT_FORMAT_VERSION.to_le_bytes());
-        out.extend_from_slice(&0u16.to_le_bytes()); // flags, reserved
-        out.extend_from_slice(&(self.sections.len() as u64).to_le_bytes());
-        let mut fnv = IncrementalFnv::new(CHECKSUM_SEED);
-        fnv.write(&out[..16]);
-        out.extend_from_slice(&fnv.finish().to_le_bytes());
-
+        let count = self.sections.len() as u64;
+        let mut out = SNAPSHOT.encode_header(count).to_vec();
         for (name, body) in &self.sections {
             let frame_start = out.len();
             out.push(FRAME_SECTION);
             out.extend_from_slice(&(name.len() as u64).to_le_bytes());
             out.extend_from_slice(&(body.len() as u64).to_le_bytes());
             out.extend_from_slice(name.as_bytes());
-            let metadata_len = out.len() - frame_start;
+            let checksum = SNAPSHOT.frame_checksum(&out[frame_start..], body);
             out.extend_from_slice(body);
-            let checksum = section_checksum(&out[frame_start..frame_start + metadata_len], body);
             out.extend_from_slice(&checksum.to_le_bytes());
         }
-
-        // End frame: kind + count + FNV checksum, like the `.nstr` end frame.
-        let end_start = out.len();
-        out.push(FRAME_END);
-        out.extend_from_slice(&(self.sections.len() as u64).to_le_bytes());
-        let mut fnv = IncrementalFnv::new(CHECKSUM_SEED);
-        fnv.write(&out[end_start..end_start + 9]);
-        out.extend_from_slice(&fnv.finish().to_le_bytes());
+        out.extend_from_slice(&SNAPSHOT.encode_end(count));
         out
     }
 
@@ -214,36 +215,24 @@ impl Snapshot {
     /// is not a `.nsck` file at all reports [`SnapshotError::BadMagic`],
     /// never a confusing `Truncated`.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        validate_magic(bytes)?;
-        let mut cursor = Cursor { buf: bytes, pos: 0 };
-        let fixed = cursor.take(16, "header")?;
-        let version = u16::from_le_bytes([fixed[4], fixed[5]]);
-        if version != SNAPSHOT_FORMAT_VERSION {
-            return Err(SnapshotError::UnsupportedVersion {
-                found: version,
-                expected: SNAPSHOT_FORMAT_VERSION,
-            });
+        SNAPSHOT.check_magic_prefix(bytes)?;
+        if bytes.len() < 4 {
+            return Err(truncated("magic"));
         }
-        let declared_sections = le_u64(&fixed[8..16]);
-        let mut fnv = IncrementalFnv::new(CHECKSUM_SEED);
-        fnv.write(fixed);
-        if fnv.finish() != cursor.u64("header checksum")? {
-            return Err(SnapshotError::ChecksumMismatch { location: "header".into() });
-        }
+        let mut cursor = ByteCursor::new(bytes);
+        let fixed = cursor.array::<16>().ok_or_else(|| truncated("header"))?;
+        let declared_sections = SNAPSHOT.decode_header(&fixed)?;
+        SNAPSHOT
+            .verify_header(&fixed, cursor.array().ok_or_else(|| truncated("header checksum"))?)?;
 
         let mut snapshot = Snapshot::new();
         loop {
-            let frame_start = cursor.pos;
-            match cursor.u8("frame kind")? {
+            let frame_start = cursor.position();
+            let [kind] = cursor.array().ok_or_else(|| truncated("frame kind"))?;
+            match kind {
                 FRAME_END => {
-                    let declared_end = cursor.u64("end frame")?;
-                    let mut fnv = IncrementalFnv::new(CHECKSUM_SEED);
-                    fnv.write(&bytes[frame_start..frame_start + 9]);
-                    if fnv.finish() != cursor.u64("end frame checksum")? {
-                        return Err(SnapshotError::ChecksumMismatch {
-                            location: "end frame".into(),
-                        });
-                    }
+                    let declared_end = SNAPSHOT
+                        .decode_end(&cursor.array().ok_or_else(|| truncated("end frame"))?)?;
                     if declared_end != declared_sections
                         || snapshot.sections.len() as u64 != declared_sections
                     {
@@ -253,31 +242,36 @@ impl Snapshot {
                         });
                     }
                     if cursor.remaining() != 0 {
-                        return Err(SnapshotError::Truncated {
-                            location: format!(
-                                "nothing ({} trailing bytes after the end frame)",
-                                cursor.remaining()
-                            ),
-                        });
+                        return Err(truncated(&format!(
+                            "nothing ({} trailing bytes after the end frame)",
+                            cursor.remaining()
+                        )));
                     }
                     return Ok(snapshot);
                 }
                 FRAME_SECTION => {
                     let index = snapshot.sections.len();
-                    let name_len = cursor.usize(&format!("section {index} name length"))?;
-                    let body_len = cursor.usize(&format!("section {index} body length"))?;
-                    let name_bytes = cursor.take(name_len, &format!("section {index} name"))?;
-                    let metadata_end = cursor.pos;
-                    let name = std::str::from_utf8(name_bytes)
+                    let name_len = read_len(&mut cursor, &format!("section {index} name length"))?;
+                    let body_len = read_len(&mut cursor, &format!("section {index} body length"))?;
+                    let name = cursor
+                        .take(name_len)
+                        .ok_or_else(|| truncated(&format!("section {index} name")))?;
+                    let metadata = frame_start..name.end;
+                    let name = std::str::from_utf8(&bytes[name])
                         .map_err(|_| {
                             SnapshotError::State(StateError::corrupt(format!(
                                 "section {index} name is not UTF-8"
                             )))
                         })?
                         .to_string();
-                    let body = cursor.take(body_len, &format!("section {name:?} body"))?;
-                    let declared = cursor.u64(&format!("section {name:?} checksum"))?;
-                    if section_checksum(&bytes[frame_start..metadata_end], body) != declared {
+                    let body = cursor
+                        .take(body_len)
+                        .ok_or_else(|| truncated(&format!("section {name:?} body")))?;
+                    let declared = cursor
+                        .u64()
+                        .ok_or_else(|| truncated(&format!("section {name:?} checksum")))?;
+                    let body = &bytes[body];
+                    if SNAPSHOT.frame_checksum(&bytes[metadata], body) != declared {
                         return Err(SnapshotError::ChecksumMismatch {
                             location: format!("section {name:?}"),
                         });
@@ -294,71 +288,16 @@ impl Snapshot {
     }
 }
 
-/// Section checksum: fixed metadata through the byte-serial FNV, the bulk
-/// body through the word-parallel [`hash_block`], halves folded by
-/// [`mix64`] — the `.nstr` v2 frame-checksum construction.
-fn section_checksum(metadata: &[u8], body: &[u8]) -> u64 {
-    let mut fnv = IncrementalFnv::new(CHECKSUM_SEED);
-    fnv.write(metadata);
-    mix64(fnv.finish() ^ hash_block(body, CHECKSUM_SEED))
+fn truncated(location: &str) -> SnapshotError {
+    SnapshotError::Truncated { location: location.to_string() }
 }
 
-/// Magic check over whatever prefix exists: a wrong prefix is `BadMagic`
-/// even when the input is also too short, so garbage input is never
-/// misreported as a truncated snapshot.
-fn validate_magic(bytes: &[u8]) -> Result<(), SnapshotError> {
-    let prefix_len = bytes.len().min(4);
-    if bytes[..prefix_len] != SNAPSHOT_MAGIC[..prefix_len] {
-        let mut found = [0u8; 4];
-        found[..prefix_len].copy_from_slice(&bytes[..prefix_len]);
-        return Err(SnapshotError::BadMagic { found });
-    }
-    if bytes.len() < 4 {
-        return Err(SnapshotError::Truncated { location: "magic".into() });
-    }
-    Ok(())
-}
-
-fn le_u64(bytes: &[u8]) -> u64 {
-    let mut word = [0u8; 8];
-    word.copy_from_slice(bytes);
-    u64::from_le_bytes(word)
-}
-
-/// Bounds-checked reader with located truncation errors.
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn take(&mut self, len: usize, location: &str) -> Result<&'a [u8], SnapshotError> {
-        if self.remaining() < len {
-            return Err(SnapshotError::Truncated { location: location.to_string() });
-        }
-        let slice = &self.buf[self.pos..self.pos + len];
-        self.pos += len;
-        Ok(slice)
-    }
-
-    fn u8(&mut self, location: &str) -> Result<u8, SnapshotError> {
-        Ok(self.take(1, location)?[0])
-    }
-
-    fn u64(&mut self, location: &str) -> Result<u64, SnapshotError> {
-        Ok(le_u64(self.take(8, location)?))
-    }
-
-    fn usize(&mut self, location: &str) -> Result<usize, SnapshotError> {
-        let v = self.u64(location)?;
-        usize::try_from(v).map_err(|_| {
-            SnapshotError::State(StateError::corrupt(format!("{location} {v} overflows usize")))
-        })
-    }
+/// Reads a `u64` length field that must fit in memory addressing.
+fn read_len(cursor: &mut ByteCursor<&[u8]>, location: &str) -> Result<usize, SnapshotError> {
+    let v = cursor.u64().ok_or_else(|| truncated(location))?;
+    usize::try_from(v).map_err(|_| {
+        SnapshotError::State(StateError::corrupt(format!("{location} {v} overflows usize")))
+    })
 }
 
 #[cfg(test)]
@@ -420,11 +359,8 @@ mod tests {
     #[test]
     fn version_skew_reports_found_and_expected() {
         let mut bytes = sample().to_bytes();
-        bytes[4] = 99; // version low byte
-                       // Fix the header checksum so the version check is what fires.
-        let mut fnv = IncrementalFnv::new(CHECKSUM_SEED);
-        fnv.write(&bytes[..16]);
-        bytes[16..24].copy_from_slice(&fnv.finish().to_le_bytes());
+        // A well-formed header (checksum included) declaring version 99.
+        bytes[..24].copy_from_slice(&ContainerFormat { version: 99, ..SNAPSHOT }.encode_header(3));
         let err = Snapshot::from_bytes(&bytes).unwrap_err();
         assert_eq!(
             err,

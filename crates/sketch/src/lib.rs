@@ -17,12 +17,15 @@
 //! * [`H3Hasher`] — per-measurement-interval randomized hash of flow keys to
 //!   `[0, 1)` used by flowwise sampling,
 //! * [`mix64`] / [`hash_bytes`] — the cheap deterministic mixers shared by
-//!   the sketches.
+//!   the sketches,
+//! * [`container`] — the framed container codec (header, end frame, frame
+//!   checksum, bounds-checked cursor) shared by `.nstr` and `.nsck`.
 
 #![forbid(unsafe_code)]
 
 pub mod bitmap;
 pub mod bloom;
+pub mod container;
 pub mod det_map;
 pub mod hash;
 pub mod state;

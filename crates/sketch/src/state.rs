@@ -17,6 +17,8 @@
 //! [`StateReader::finish`] (or be framed by a length-prefixed blob) so
 //! trailing garbage cannot hide.
 
+use crate::container::ByteCursor;
+
 /// Errors produced while serializing or restoring checkpointable state.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StateError {
@@ -210,19 +212,18 @@ impl StateWriter {
 /// Consumes a buffer written by [`StateWriter`].
 #[derive(Debug, Clone)]
 pub struct StateReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+    cursor: ByteCursor<&'a [u8]>,
 }
 
 impl<'a> StateReader<'a> {
     /// Starts reading at the beginning of `buf`.
     pub fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
+        Self { cursor: ByteCursor::new(buf) }
     }
 
     /// Number of unconsumed bytes.
     pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
+        self.cursor.remaining()
     }
 
     /// Fails with [`StateError::TrailingBytes`] unless fully consumed.
@@ -234,37 +235,35 @@ impl<'a> StateReader<'a> {
     }
 
     fn take(&mut self, len: usize) -> Result<&'a [u8], StateError> {
-        if self.remaining() < len {
-            return Err(StateError::Truncated { needed: len, remaining: self.remaining() });
-        }
-        let slice = &self.buf[self.pos..self.pos + len];
-        self.pos += len;
-        Ok(slice)
+        let remaining = self.remaining();
+        let range =
+            self.cursor.take(len).ok_or(StateError::Truncated { needed: len, remaining })?;
+        Ok(&self.cursor.buffer()[range])
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], StateError> {
+        let remaining = self.remaining();
+        self.cursor.array().ok_or(StateError::Truncated { needed: N, remaining })
     }
 
     /// Reads one byte.
     pub fn u8(&mut self) -> Result<u8, StateError> {
-        Ok(self.take(1)?[0])
+        self.array().map(u8::from_le_bytes)
     }
 
     /// Reads a little-endian `u16`.
     pub fn u16(&mut self) -> Result<u16, StateError> {
-        let bytes = self.take(2)?;
-        Ok(u16::from_le_bytes([bytes[0], bytes[1]]))
+        self.array().map(u16::from_le_bytes)
     }
 
     /// Reads a little-endian `u32`.
     pub fn u32(&mut self) -> Result<u32, StateError> {
-        let bytes = self.take(4)?;
-        Ok(u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]))
+        self.array().map(u32::from_le_bytes)
     }
 
     /// Reads a little-endian `u64`.
     pub fn u64(&mut self) -> Result<u64, StateError> {
-        let bytes = self.take(8)?;
-        let mut word = [0u8; 8];
-        word.copy_from_slice(bytes);
-        Ok(u64::from_le_bytes(word))
+        self.array().map(u64::from_le_bytes)
     }
 
     /// Reads a `u64` and narrows it to `usize`.

@@ -618,33 +618,6 @@ impl Batch {
         }
     }
 
-    /// Returns a new batch containing only the packets for which `keep` is true.
-    ///
-    /// This is the clone-based sampling path the shedders used before
-    /// [`BatchView`] existed; it copies every retained packet into a fresh
-    /// store. It is kept as the reference implementation that the
-    /// shed-equivalence property tests and the view-vs-clone benchmarks
-    /// compare against — hot paths should use [`Batch::view`] +
-    /// [`BatchView::filter_indexed`] instead.
-    ///
-    /// The bin index, start timestamp and duration are preserved so the result
-    /// still identifies the same time bin.
-    pub fn filtered<F: FnMut(PacketRef<'_>) -> bool>(&self, mut keep: F) -> Batch {
-        let mut builder = PacketStore::builder(self.len());
-        for packet in self.packets.iter() {
-            if keep(packet) {
-                builder.push(
-                    packet.ts(),
-                    *packet.tuple(),
-                    packet.ip_len(),
-                    packet.tcp_flags(),
-                    packet.payload().cloned(),
-                );
-            }
-        }
-        Batch::from_store(self.bin_index, self.start_ts, self.duration_us, builder.finish())
-    }
-
     /// Splits the batch into `lanes` per-lane sub-batches by shard-routing
     /// key (`lane = shard_key % lanes`, see [`shard_key`]).
     ///
@@ -1390,16 +1363,6 @@ mod tests {
         assert_eq!(stats.tcp_packets, 3);
         // 300 bytes over 100 ms = 2400 bits / 0.1 s = 24 kbit/s = 0.024 Mbps.
         assert!((batch.load_mbps() - 0.024).abs() < 1e-9);
-    }
-
-    #[test]
-    fn filtered_preserves_bin_identity() {
-        let packets = vec![pkt(0), pkt(10), pkt(20)];
-        let batch = Batch::new(7, 700_000, 100_000, packets);
-        let half = batch.filtered(|p| p.ts() >= 10);
-        assert_eq!(half.bin_index, 7);
-        assert_eq!(half.start_ts, 700_000);
-        assert_eq!(half.len(), 2);
     }
 
     #[test]

@@ -16,10 +16,13 @@
 //! end      kind=0 · total_batches u64 · checksum u64
 //! ```
 //!
-//! The tiny header and end frames checksum with the byte-serial FNV; each
-//! batch frame's checksum (format v2) runs the kind + head bytes through FNV
-//! and the body through the word-parallel [`hash_block`], so verifying a
-//! payload-heavy container costs memory bandwidth, not a multiply per byte.
+//! The header, end frame and frame checksums are the container codec
+//! shared with `.nsck` ([`netshed_sketch::container`]): the tiny header and
+//! end frames checksum with the byte-serial FNV; each batch frame's checksum
+//! (format v2) runs the kind + head bytes through FNV and the body through
+//! the word-parallel [`hash_block`](netshed_sketch::hash_block), so
+//! verifying a payload-heavy container costs memory bandwidth, not a
+//! multiply per byte.
 //!
 //! Every multi-byte value is little-endian. Each packet is encoded as
 //! `ts u64 · src u32 · dst u32 · sport u16 · dport u16 · proto u8 ·
@@ -27,9 +30,10 @@
 //! `u32::MAX` as the *no payload captured* sentinel (distinct from an empty
 //! payload). [`TraceWriter`] streams frames to any [`Write`].
 //!
-//! Two readers share one frame decoder (each frame body decodes in a single
-//! pass straight into the columns of a [`PacketStore`] — there is no
-//! intermediate `Vec<Packet>`):
+//! One reader implementation ([`FrameReader`]) decodes every frame body in
+//! a single pass straight into the columns of a [`PacketStore`] — there is
+//! no intermediate `Vec<Packet>`. Its two forms differ only in where frame
+//! bytes come from and how payloads become [`Bytes`]:
 //!
 //! * [`TraceReader`] streams from any [`Read`], copying payload bytes out of
 //!   its frame buffer.
@@ -46,22 +50,27 @@ use crate::batch::{Batch, PacketStore};
 use crate::packet::FiveTuple;
 use crate::source::{BatchReplay, PacketSource};
 use bytes::Bytes;
-use netshed_sketch::{hash_block, mix64, IncrementalFnv};
+use netshed_sketch::container::{ByteCursor, ContainerError, ContainerFormat, FRAME_END};
 use std::io::{Read, Write};
+use std::ops::Range;
 
 /// File magic: "NSTR" (netshed trace).
 pub const TRACE_MAGIC: [u8; 4] = *b"NSTR";
 
 /// Current format version. Readers accept exactly this version: v2 changed
 /// the frame-body checksum from the byte-serial FNV to the word-parallel
-/// [`hash_block`], so neither direction of version skew can be decoded.
+/// [`hash_block`](netshed_sketch::hash_block), so neither direction of
+/// version skew can be decoded.
 pub const TRACE_FORMAT_VERSION: u16 = 2;
 
-/// Seed of the container checksums (header and per-frame).
-const CHECKSUM_SEED: u64 = 0x6e73_7472; // "nstr"
+/// The `.nstr` container identity; the seed spells "nstr".
+const TRACE: ContainerFormat =
+    ContainerFormat { magic: TRACE_MAGIC, version: TRACE_FORMAT_VERSION, seed: 0x6e73_7472 };
 
-const FRAME_END: u8 = 0;
 const FRAME_BATCH: u8 = 1;
+
+/// Smallest encoded packet record: the fixed fields with no payload bytes.
+const MIN_PACKET_BYTES: usize = 30;
 
 /// Sentinel for "no payload captured" (`Packet.payload == None`).
 const NO_PAYLOAD: u32 = u32::MAX;
@@ -162,7 +171,21 @@ impl From<std::io::Error> for FormatError {
     }
 }
 
-/// Byte sink that feeds the frame checksum while buffering the frame body.
+impl From<ContainerError> for FormatError {
+    fn from(error: ContainerError) -> Self {
+        match error {
+            ContainerError::BadMagic { found } => FormatError::BadMagic { found },
+            ContainerError::UnsupportedVersion { found, expected } => {
+                FormatError::UnsupportedVersion { found, expected }
+            }
+            ContainerError::ChecksumMismatch { location } => {
+                FormatError::ChecksumMismatch { location: location.into() }
+            }
+        }
+    }
+}
+
+/// Little-endian byte sink buffering one frame.
 struct FrameBuf {
     bytes: Vec<u8>,
 }
@@ -191,12 +214,6 @@ impl FrameBuf {
     fn raw(&mut self, v: &[u8]) {
         self.bytes.extend_from_slice(v);
     }
-
-    fn checksum(&self) -> u64 {
-        let mut fnv = IncrementalFnv::new(CHECKSUM_SEED);
-        fnv.write(&self.bytes);
-        fnv.finish()
-    }
 }
 
 /// Streams batches into the `.nstr` container.
@@ -214,14 +231,7 @@ pub struct TraceWriter<W: Write> {
 impl<W: Write> TraceWriter<W> {
     /// Writes the container header and returns the writer.
     pub fn new(mut writer: W, time_bin_us: u64) -> Result<Self, FormatError> {
-        let mut header = FrameBuf::new();
-        header.raw(&TRACE_MAGIC);
-        header.u16(TRACE_FORMAT_VERSION);
-        header.u16(0); // flags, reserved
-        header.u64(time_bin_us);
-        let checksum = header.checksum();
-        header.u64(checksum);
-        writer.write_all(&header.bytes)?;
+        writer.write_all(&TRACE.encode_header(time_bin_us))?;
         Ok(Self { writer, batches: 0 })
     }
 
@@ -266,8 +276,8 @@ impl<W: Write> TraceWriter<W> {
         frame.u32(body_len);
         frame.raw(&body.bytes);
         // Kind byte + 32-byte head, then the body — the same split the
-        // readers verify against.
-        let checksum = frame_checksum(&frame.bytes[1..33], &frame.bytes[33..]);
+        // reader verifies against.
+        let checksum = TRACE.frame_checksum(&frame.bytes[..33], &frame.bytes[33..]);
         frame.u64(checksum);
         self.writer.write_all(&frame.bytes)?;
         self.batches += 1;
@@ -284,12 +294,7 @@ impl<W: Write> TraceWriter<W> {
 
     /// Writes the end frame, flushes, and returns the destination.
     pub fn finish(mut self) -> Result<W, FormatError> {
-        let mut frame = FrameBuf::new();
-        frame.u8(FRAME_END);
-        frame.u64(self.batches);
-        let checksum = frame.checksum();
-        frame.u64(checksum);
-        self.writer.write_all(&frame.bytes)?;
+        self.writer.write_all(&TRACE.encode_end(self.batches))?;
         self.writer.flush()?;
         Ok(self.writer)
     }
@@ -318,117 +323,164 @@ pub fn decode_batches_shared(buffer: &Bytes) -> Result<Vec<Batch>, FormatError> 
     SharedTraceReader::new(buffer.clone())?.read_all()
 }
 
-/// Validates an `.nstr` header in `fixed` (16 bytes) + `declared` (8-byte
-/// checksum); returns the recorded time-bin duration.
-fn validate_header(fixed: &[u8; 16], declared: [u8; 8]) -> Result<u64, FormatError> {
-    validate_magic(fixed)?;
-    let version = u16::from_le_bytes([fixed[4], fixed[5]]);
-    if version != TRACE_FORMAT_VERSION {
-        return Err(FormatError::UnsupportedVersion {
-            found: version,
-            expected: TRACE_FORMAT_VERSION,
-        });
+/// The two frame inputs. Public items in a private module: nameable only
+/// through the [`TraceReader`] / [`SharedTraceReader`] aliases.
+mod input {
+    use super::{ByteCursor, Bytes, FormatError, Range, Read};
+
+    /// Where a [`FrameReader`]'s frame bytes come from, and how payloads become
+    /// [`Bytes`]: the only things the two reader forms do differently.
+    pub trait FrameInput {
+        /// Consumes exactly `N` bytes ([`FormatError::Truncated`] when they run
+        /// out).
+        fn take<const N: usize>(&mut self) -> Result<[u8; N], FormatError>;
+
+        /// Consumes a `len`-byte frame body; it stays readable through
+        /// [`FrameInput::body`] until the next call.
+        fn load_body(&mut self, len: usize) -> Result<(), FormatError>;
+
+        /// The body the last [`FrameInput::load_body`] consumed, plus the
+        /// same bytes as a shared [`Bytes`] when payloads can be zero-copy
+        /// windows into it (`None`: payloads are copied out).
+        fn body(&self) -> (&[u8], Option<Bytes>);
+
+        /// Discards `len` bytes unread.
+        fn skip(&mut self, len: u64) -> Result<(), FormatError>;
     }
-    let mut fnv = IncrementalFnv::new(CHECKSUM_SEED);
-    fnv.write(fixed);
-    if fnv.finish() != u64::from_le_bytes(declared) {
-        return Err(FormatError::ChecksumMismatch { location: "header".into() });
+
+    /// Frame bytes streamed from any [`Read`]; payloads are copied out of the
+    /// frame buffer.
+    pub struct StreamInput<R> {
+        pub(super) reader: R,
+        pub(super) frame: Vec<u8>,
     }
-    Ok(le_u64(fixed, 8))
+
+    impl<R: Read> FrameInput for StreamInput<R> {
+        fn take<const N: usize>(&mut self) -> Result<[u8; N], FormatError> {
+            let mut buf = [0u8; N];
+            self.reader.read_exact(&mut buf).map_err(|error| {
+                if error.kind() == std::io::ErrorKind::UnexpectedEof {
+                    FormatError::Truncated
+                } else {
+                    FormatError::Io(error)
+                }
+            })?;
+            Ok(buf)
+        }
+
+        fn load_body(&mut self, len: usize) -> Result<(), FormatError> {
+            // `len` comes from a not-yet-verified frame head, so grow the buffer
+            // only as bytes actually arrive: a corrupt length on a short file
+            // fails as `Truncated` instead of allocating gigabytes up front.
+            self.frame.clear();
+            let read = (&mut self.reader).take(len as u64).read_to_end(&mut self.frame)?;
+            if read != len {
+                return Err(FormatError::Truncated);
+            }
+            Ok(())
+        }
+
+        fn body(&self) -> (&[u8], Option<Bytes>) {
+            (&self.frame, None)
+        }
+
+        fn skip(&mut self, len: u64) -> Result<(), FormatError> {
+            let copied = std::io::copy(&mut (&mut self.reader).take(len), &mut std::io::sink())?;
+            if copied != len {
+                return Err(FormatError::Truncated);
+            }
+            Ok(())
+        }
+    }
+
+    /// Frame bytes read from a caller-held in-memory container; payloads are
+    /// zero-copy windows into it.
+    pub struct SharedInput {
+        pub(super) cursor: ByteCursor<Bytes>,
+        pub(super) body: Range<usize>,
+    }
+
+    impl FrameInput for SharedInput {
+        fn take<const N: usize>(&mut self) -> Result<[u8; N], FormatError> {
+            self.cursor.array().ok_or(FormatError::Truncated)
+        }
+
+        fn load_body(&mut self, len: usize) -> Result<(), FormatError> {
+            self.body = self.cursor.take(len).ok_or(FormatError::Truncated)?;
+            Ok(())
+        }
+
+        fn body(&self) -> (&[u8], Option<Bytes>) {
+            let buffer = self.cursor.buffer();
+            (&buffer[self.body.clone()], Some(buffer.slice(self.body.clone())))
+        }
+
+        fn skip(&mut self, len: u64) -> Result<(), FormatError> {
+            let len = usize::try_from(len).map_err(|_| FormatError::Truncated)?;
+            self.cursor.take(len).map(drop).ok_or(FormatError::Truncated)
+        }
+    }
 }
 
-/// Checks the magic of the fixed header prefix. Called as soon as the first
-/// 16 bytes are in, *before* the 8-byte header checksum is read, so that a
-/// short non-`.nstr` input reports [`FormatError::BadMagic`] rather than the
-/// misleading [`FormatError::Truncated`].
-fn validate_magic(fixed: &[u8; 16]) -> Result<(), FormatError> {
-    let mut magic = [0u8; 4];
-    magic.copy_from_slice(&fixed[..4]);
-    if magic != TRACE_MAGIC {
-        return Err(FormatError::BadMagic { found: magic });
-    }
-    Ok(())
-}
+use input::{FrameInput, SharedInput, StreamInput};
 
-/// Validates an end frame (`kind` byte already consumed, `rest` = count +
-/// checksum) against the number of frames actually decoded.
-fn validate_end_frame(rest: &[u8; 16], decoded: u64) -> Result<(), FormatError> {
-    let declared_count = le_u64(rest, 0);
-    let declared_sum = le_u64(rest, 8);
-    let mut fnv = IncrementalFnv::new(CHECKSUM_SEED);
-    fnv.write(&[FRAME_END]);
-    fnv.write(&rest[..8]);
-    if fnv.finish() != declared_sum {
-        return Err(FormatError::ChecksumMismatch { location: "end frame".into() });
-    }
-    if declared_count != decoded {
-        return Err(FormatError::CountMismatch { declared: declared_count, decoded });
-    }
-    Ok(())
-}
-
-/// Computes a batch frame's checksum (format v2).
+/// Decodes `.nstr` frames from a stream or a shared buffer, verifying every
+/// checksum.
 ///
-/// The 33 fixed bytes (kind + 32-byte head) absorb through the byte-serial
-/// FNV; the body — which carries the payload volume and dominates the
-/// container — absorbs through the word-parallel [`hash_block`], so
-/// verification cost is bounded by memory bandwidth rather than a
-/// byte-at-a-time multiply chain. The two halves combine through [`mix64`].
-fn frame_checksum(head: &[u8], body: &[u8]) -> u64 {
-    let mut fnv = IncrementalFnv::new(CHECKSUM_SEED);
-    fnv.write(&[FRAME_BATCH]);
-    fnv.write(head);
-    mix64(fnv.finish() ^ hash_block(body, CHECKSUM_SEED))
-}
-
-/// Verifies a batch frame's checksum (`kind` + 32-byte head + body against
-/// the declared little-endian sum).
-fn verify_frame_checksum(
-    head: &[u8],
-    body: &[u8],
-    declared: [u8; 8],
-    frame: u64,
-) -> Result<(), FormatError> {
-    if frame_checksum(head, body) != u64::from_le_bytes(declared) {
-        return Err(FormatError::ChecksumMismatch { location: format!("frame {frame}") });
-    }
-    Ok(())
-}
-
-/// Decodes `.nstr` frames from any [`Read`], verifying every checksum.
-///
-/// Frame bodies decode straight into the column store ([`PacketStore`]);
-/// payload bytes are copied out of the reader's frame buffer. For repeated
-/// in-memory replay prefer [`SharedTraceReader`], which borrows payloads
-/// from the container instead.
-pub struct TraceReader<R: Read> {
-    reader: R,
+/// Use it through its two forms, [`TraceReader`] and [`SharedTraceReader`].
+/// Frame bodies decode straight into the column store ([`PacketStore`]).
+pub struct FrameReader<I> {
+    input: I,
     time_bin_us: u64,
     decoded: u64,
     /// Set once the end frame was seen (further reads return `None`).
     finished: bool,
     /// First decode error, latched for the `PacketSource` adapter.
     error: Option<FormatError>,
-    frame: Vec<u8>,
 }
 
-impl<R: Read> TraceReader<R> {
+/// Decodes `.nstr` frames from any [`Read`], copying payload bytes out of
+/// the reader's frame buffer. For repeated in-memory replay prefer
+/// [`SharedTraceReader`], which borrows payloads from the container instead.
+pub type TraceReader<R> = FrameReader<StreamInput<R>>;
+
+/// Decodes `.nstr` frames from a caller-held in-memory container without
+/// copying packet bytes.
+///
+/// The whole container lives in one shared [`Bytes`] buffer (read or mapped
+/// into memory once by the caller); each decoded payload is an O(1) window
+/// into that buffer, so replaying a payload-heavy recording costs the same
+/// as replaying a header-only one. Validation and the error taxonomy are
+/// those of [`TraceReader`] — running off the end of the buffer reports
+/// [`FormatError::Truncated`]. The container buffer stays alive as long as
+/// any decoded payload does: dropping the reader does not invalidate
+/// batches it produced.
+pub type SharedTraceReader = FrameReader<SharedInput>;
+
+impl<R: Read> FrameReader<StreamInput<R>> {
     /// Reads and validates the container header.
-    pub fn new(mut reader: R) -> Result<Self, FormatError> {
-        let mut fixed = [0u8; 16];
-        read_exact_or_truncated(&mut reader, &mut fixed)?;
-        validate_magic(&fixed)?;
-        let mut declared = [0u8; 8];
-        read_exact_or_truncated(&mut reader, &mut declared)?;
-        let time_bin_us = validate_header(&fixed, declared)?;
-        Ok(Self {
-            reader,
-            time_bin_us,
-            decoded: 0,
-            finished: false,
-            error: None,
-            frame: Vec::new(),
-        })
+    pub fn new(reader: R) -> Result<Self, FormatError> {
+        Self::open(StreamInput { reader, frame: Vec::new() })
+    }
+}
+
+impl FrameReader<SharedInput> {
+    /// Validates the container header of a shared buffer.
+    pub fn new(buffer: Bytes) -> Result<Self, FormatError> {
+        Self::open(SharedInput { cursor: ByteCursor::new(buffer), body: 0..0 })
+    }
+}
+
+impl<I: FrameInput> FrameReader<I> {
+    /// Validates the header. The magic and version are checked as soon as
+    /// the 16 fixed bytes are in, *before* the 8-byte checksum is read, so a
+    /// short foreign input reports [`FormatError::BadMagic`] rather than the
+    /// misleading [`FormatError::Truncated`].
+    fn open(mut input: I) -> Result<Self, FormatError> {
+        let fixed = input.take::<16>()?;
+        let time_bin_us = TRACE.decode_header(&fixed)?;
+        TRACE.verify_header(&fixed, input.take()?)?;
+        Ok(Self { input, time_bin_us, decoded: 0, finished: false, error: None })
     }
 
     /// The time-bin duration recorded in the header.
@@ -447,88 +499,60 @@ impl<R: Read> TraceReader<R> {
 
     /// Decodes the next batch, `Ok(None)` at the (validated) end frame.
     pub fn read_batch(&mut self) -> Result<Option<Batch>, FormatError> {
-        if self.finished {
+        let Some(head) = self.next_frame()? else {
             return Ok(None);
+        };
+        self.input.load_body(le_u32(&head, 29) as usize)?;
+        let declared = u64::from_le_bytes(self.input.take()?);
+        let (body, shared) = self.input.body();
+        if TRACE.frame_checksum(&head, body) != declared {
+            return Err(FormatError::ChecksumMismatch {
+                location: format!("frame {}", self.decoded),
+            });
         }
-        let mut kind = [0u8; 1];
-        read_exact_or_truncated(&mut self.reader, &mut kind)?;
-        match kind[0] {
-            FRAME_END => {
-                let mut rest = [0u8; 16];
-                read_exact_or_truncated(&mut self.reader, &mut rest)?;
-                validate_end_frame(&rest, self.decoded)?;
-                self.finished = true;
-                Ok(None)
-            }
-            FRAME_BATCH => {
-                let mut head = [0u8; 32];
-                read_exact_or_truncated(&mut self.reader, &mut head)?;
-                let bin_index = le_u64(&head, 0);
-                let start_ts = le_u64(&head, 8);
-                let duration_us = le_u64(&head, 16);
-                let packet_count = le_u32(&head, 24);
-                let body_len = le_u32(&head, 28);
-                // `body_len` comes from a not-yet-verified header, so grow
-                // the buffer only as bytes actually arrive: a corrupt
-                // length on a short file fails as `Truncated` instead of
-                // allocating gigabytes up front.
-                self.frame.clear();
-                let read = (&mut self.reader)
-                    .take(u64::from(body_len))
-                    .read_to_end(&mut self.frame)
-                    .map_err(FormatError::Io)?;
-                if read != body_len as usize {
-                    return Err(FormatError::Truncated);
-                }
-                let mut declared = [0u8; 8];
-                read_exact_or_truncated(&mut self.reader, &mut declared)?;
-                verify_frame_checksum(&head, &self.frame, declared, self.decoded)?;
-                let body = &self.frame;
-                let store = decode_store_with(body, packet_count, self.decoded, |range| {
-                    Bytes::copy_from_slice(&body[range])
-                })?;
-                self.decoded += 1;
-                Ok(Some(Batch::from_store(bin_index, start_ts, duration_us, store)))
-            }
-            kind => Err(FormatError::UnknownFrame { kind }),
-        }
+        let store = decode_store(body, shared.as_ref(), le_u32(&head, 25), self.decoded)?;
+        self.decoded += 1;
+        Ok(Some(Batch::from_store(le_u64(&head, 1), le_u64(&head, 9), le_u64(&head, 17), store)))
     }
 
     /// Skips the next frame without decoding its body.
     ///
     /// `Ok(true)` when a batch frame was stepped over, `Ok(false)` at the
-    /// (validated) end frame. The 32-byte frame head is read to learn the
-    /// body length, then `body_len + 8` bytes (body plus trailing checksum)
-    /// are discarded unread — no column decode, no body hash. The container
-    /// header checksum was already verified in [`TraceReader::new`]; a frame
-    /// whose declared length overruns the file still reports
-    /// [`FormatError::Truncated`].
+    /// (validated) end frame. The frame head is read to learn the body
+    /// length, then the body and its trailing checksum are discarded unread
+    /// — no column decode, no body hash. A frame whose declared length
+    /// overruns the input still reports [`FormatError::Truncated`].
     fn skip_frame(&mut self) -> Result<bool, FormatError> {
-        if self.finished {
+        let Some(head) = self.next_frame()? else {
             return Ok(false);
+        };
+        self.input.skip(u64::from(le_u32(&head, 29)) + 8)?;
+        self.decoded += 1;
+        Ok(true)
+    }
+
+    /// Reads the next frame's kind byte. At the end frame, validates it and
+    /// returns `None`; at a batch frame, returns the kind byte and the
+    /// 32-byte head (`bin_index`, `start_ts`, `duration_us`, `packet_count`,
+    /// `body_len`) — the checksummed frame metadata.
+    fn next_frame(&mut self) -> Result<Option<[u8; 33]>, FormatError> {
+        if self.finished {
+            return Ok(None);
         }
-        let mut kind = [0u8; 1];
-        read_exact_or_truncated(&mut self.reader, &mut kind)?;
-        match kind[0] {
+        let [kind] = self.input.take()?;
+        match kind {
             FRAME_END => {
-                let mut rest = [0u8; 16];
-                read_exact_or_truncated(&mut self.reader, &mut rest)?;
-                validate_end_frame(&rest, self.decoded)?;
+                let declared = TRACE.decode_end(&self.input.take()?)?;
+                if declared != self.decoded {
+                    return Err(FormatError::CountMismatch { declared, decoded: self.decoded });
+                }
                 self.finished = true;
-                Ok(false)
+                Ok(None)
             }
             FRAME_BATCH => {
-                let mut head = [0u8; 32];
-                read_exact_or_truncated(&mut self.reader, &mut head)?;
-                let skip = u64::from(le_u32(&head, 28)) + 8;
-                let copied =
-                    std::io::copy(&mut (&mut self.reader).take(skip), &mut std::io::sink())
-                        .map_err(FormatError::Io)?;
-                if copied != skip {
-                    return Err(FormatError::Truncated);
-                }
-                self.decoded += 1;
-                Ok(true)
+                let mut head = [FRAME_BATCH; 33];
+                head[1..].copy_from_slice(&self.input.take::<32>()?);
+                Ok(Some(head))
             }
             kind => Err(FormatError::UnknownFrame { kind }),
         }
@@ -547,22 +571,21 @@ impl<R: Read> TraceReader<R> {
     pub fn into_replay(self) -> Result<BatchReplay, FormatError> {
         Ok(BatchReplay::new(self.read_all()?))
     }
-}
 
-/// A reader is a streaming [`PacketSource`]: decode errors end the stream
-/// and latch in [`TraceReader::error`].
-impl<R: Read> PacketSource for TraceReader<R> {
-    fn next_batch(&mut self) -> Option<Batch> {
+    /// Runs `step` unless an error is latched, latching the one it returns.
+    fn latched<T>(&mut self, step: impl FnOnce(&mut Self) -> Result<T, FormatError>) -> Option<T> {
         if self.error.is_some() {
             return None;
         }
-        match self.read_batch() {
-            Ok(batch) => batch,
-            Err(error) => {
-                self.error = Some(error);
-                None
-            }
-        }
+        step(self).map_err(|error| self.error = Some(error)).ok()
+    }
+}
+
+/// A reader is a streaming [`PacketSource`]: decode errors end the stream
+/// and latch in [`FrameReader::error`].
+impl<I: FrameInput> PacketSource for FrameReader<I> {
+    fn next_batch(&mut self) -> Option<Batch> {
+        self.latched(Self::read_batch).flatten()
     }
 
     /// Frame-skip fast path: steps over `count` frames by their declared
@@ -572,210 +595,8 @@ impl<R: Read> PacketSource for TraceReader<R> {
     /// calls to `next_batch` that drop their result.
     fn skip_batches(&mut self, count: u64) -> u64 {
         let mut skipped = 0;
-        while skipped < count {
-            if self.error.is_some() {
-                break;
-            }
-            match self.skip_frame() {
-                Ok(true) => skipped += 1,
-                Ok(false) => break,
-                Err(error) => {
-                    self.error = Some(error);
-                    break;
-                }
-            }
-        }
-        skipped
-    }
-}
-
-/// Decodes `.nstr` frames from a caller-held in-memory container without
-/// copying packet bytes.
-///
-/// The whole container lives in one shared [`Bytes`] buffer (read or mapped
-/// into memory once by the caller); each decoded payload is an O(1) window
-/// into that buffer, so replaying a payload-heavy recording costs the same
-/// as replaying a header-only one. Frame fields still stream straight into
-/// the [`PacketStore`] columns — there is no intermediate `Vec<Packet>`
-/// decode-copy anywhere on this path.
-///
-/// Validation (magic, version, every checksum, end-frame count) and the
-/// error taxonomy are identical to [`TraceReader`]; running off the end of
-/// the buffer reports [`FormatError::Truncated`]. The container buffer stays
-/// alive as long as any decoded payload does — dropping the reader does not
-/// invalidate batches it produced.
-pub struct SharedTraceReader {
-    buffer: Bytes,
-    /// Read cursor into `buffer`.
-    at: usize,
-    time_bin_us: u64,
-    decoded: u64,
-    /// Set once the end frame was seen (further reads return `None`).
-    finished: bool,
-    /// First decode error, latched for the `PacketSource` adapter.
-    error: Option<FormatError>,
-}
-
-impl SharedTraceReader {
-    /// Validates the container header of a shared buffer.
-    pub fn new(buffer: Bytes) -> Result<Self, FormatError> {
-        let bytes = buffer.as_slice();
-        let mut fixed = [0u8; 16];
-        fixed.copy_from_slice(bytes.get(..16).ok_or(FormatError::Truncated)?);
-        validate_magic(&fixed)?;
-        let mut declared = [0u8; 8];
-        declared.copy_from_slice(bytes.get(16..24).ok_or(FormatError::Truncated)?);
-        let time_bin_us = validate_header(&fixed, declared)?;
-        Ok(Self { buffer, at: 24, time_bin_us, decoded: 0, finished: false, error: None })
-    }
-
-    /// The time-bin duration recorded in the header.
-    pub fn time_bin_us(&self) -> u64 {
-        self.time_bin_us
-    }
-
-    /// The first decode error hit by the [`PacketSource`] adapter, if any
-    /// (same latching contract as [`TraceReader::error`]).
-    pub fn error(&self) -> Option<&FormatError> {
-        self.error.as_ref()
-    }
-
-    /// Decodes the next batch, `Ok(None)` at the (validated) end frame.
-    pub fn read_batch(&mut self) -> Result<Option<Batch>, FormatError> {
-        if self.finished {
-            return Ok(None);
-        }
-        // An O(1) handle on the container so the cursor can move freely
-        // while frame slices stay borrowed from the same allocation.
-        let buffer = self.buffer.clone();
-        let bytes = buffer.as_slice();
-        let kind = *bytes.get(self.at).ok_or(FormatError::Truncated)?;
-        self.at += 1;
-        match kind {
-            FRAME_END => {
-                let mut rest = [0u8; 16];
-                rest.copy_from_slice(
-                    bytes.get(self.at..self.at + 16).ok_or(FormatError::Truncated)?,
-                );
-                self.at += 16;
-                validate_end_frame(&rest, self.decoded)?;
-                self.finished = true;
-                Ok(None)
-            }
-            FRAME_BATCH => {
-                let head = bytes.get(self.at..self.at + 32).ok_or(FormatError::Truncated)?;
-                self.at += 32;
-                let bin_index = le_u64(head, 0);
-                let start_ts = le_u64(head, 8);
-                let duration_us = le_u64(head, 16);
-                let packet_count = le_u32(head, 24);
-                let body_len = le_u32(head, 28);
-                let body_start = self.at;
-                let body_end =
-                    body_start.checked_add(body_len as usize).ok_or(FormatError::Truncated)?;
-                let body = bytes.get(body_start..body_end).ok_or(FormatError::Truncated)?;
-                self.at = body_end;
-                let mut declared = [0u8; 8];
-                declared.copy_from_slice(
-                    bytes.get(self.at..self.at + 8).ok_or(FormatError::Truncated)?,
-                );
-                self.at += 8;
-                verify_frame_checksum(head, body, declared, self.decoded)?;
-                let store = decode_store_with(body, packet_count, self.decoded, |range| {
-                    buffer.slice(body_start + range.start..body_start + range.end)
-                })?;
-                self.decoded += 1;
-                Ok(Some(Batch::from_store(bin_index, start_ts, duration_us, store)))
-            }
-            kind => Err(FormatError::UnknownFrame { kind }),
-        }
-    }
-
-    /// Skips the next frame without decoding its body (the in-memory twin of
-    /// [`TraceReader::skip_frame`]: a bounds-checked cursor bump past
-    /// `body_len + 8` bytes).
-    fn skip_frame(&mut self) -> Result<bool, FormatError> {
-        if self.finished {
-            return Ok(false);
-        }
-        let bytes = self.buffer.as_slice();
-        let kind = *bytes.get(self.at).ok_or(FormatError::Truncated)?;
-        self.at += 1;
-        match kind {
-            FRAME_END => {
-                let mut rest = [0u8; 16];
-                rest.copy_from_slice(
-                    bytes.get(self.at..self.at + 16).ok_or(FormatError::Truncated)?,
-                );
-                self.at += 16;
-                validate_end_frame(&rest, self.decoded)?;
-                self.finished = true;
-                Ok(false)
-            }
-            FRAME_BATCH => {
-                let head = bytes.get(self.at..self.at + 32).ok_or(FormatError::Truncated)?;
-                let body_len = le_u32(head, 28);
-                let frame_end = self
-                    .at
-                    .checked_add(32 + body_len as usize + 8)
-                    .filter(|&end| end <= bytes.len())
-                    .ok_or(FormatError::Truncated)?;
-                self.at = frame_end;
-                self.decoded += 1;
-                Ok(true)
-            }
-            kind => Err(FormatError::UnknownFrame { kind }),
-        }
-    }
-
-    /// Decodes the whole trace into a batch vector (payloads stay borrowed
-    /// from the container buffer).
-    pub fn read_all(mut self) -> Result<Vec<Batch>, FormatError> {
-        let mut batches = Vec::new();
-        while let Some(batch) = self.read_batch()? {
-            batches.push(batch);
-        }
-        Ok(batches)
-    }
-
-    /// Decodes the whole trace into a rewindable [`BatchReplay`].
-    pub fn into_replay(self) -> Result<BatchReplay, FormatError> {
-        Ok(BatchReplay::new(self.read_all()?))
-    }
-}
-
-/// The shared reader is a streaming [`PacketSource`] with the same
-/// error-latching contract as [`TraceReader`].
-impl PacketSource for SharedTraceReader {
-    fn next_batch(&mut self) -> Option<Batch> {
-        if self.error.is_some() {
-            return None;
-        }
-        match self.read_batch() {
-            Ok(batch) => batch,
-            Err(error) => {
-                self.error = Some(error);
-                None
-            }
-        }
-    }
-
-    /// Frame-skip fast path over the in-memory container (same contract as
-    /// [`TraceReader`]'s override).
-    fn skip_batches(&mut self, count: u64) -> u64 {
-        let mut skipped = 0;
-        while skipped < count {
-            if self.error.is_some() {
-                break;
-            }
-            match self.skip_frame() {
-                Ok(true) => skipped += 1,
-                Ok(false) => break,
-                Err(error) => {
-                    self.error = Some(error);
-                    break;
-                }
-            }
+        while skipped < count && self.latched(Self::skip_frame) == Some(true) {
+            skipped += 1;
         }
         skipped
     }
@@ -804,32 +625,20 @@ fn le_u16(bytes: &[u8], at: usize) -> u16 {
     u16::from_le_bytes([bytes[at], bytes[at + 1]])
 }
 
-fn read_exact_or_truncated<R: Read>(reader: &mut R, buf: &mut [u8]) -> Result<(), FormatError> {
-    reader.read_exact(buf).map_err(|error| {
-        if error.kind() == std::io::ErrorKind::UnexpectedEof {
-            FormatError::Truncated
-        } else {
-            FormatError::Io(error)
-        }
-    })
-}
-
-/// Decodes one frame body straight into a [`PacketStore`].
+/// Decodes one frame body straight into a [`PacketStore`]. Payloads are
+/// zero-copy windows into `shared` (the same bytes as `body`) when the input
+/// provides it, copies otherwise.
 ///
-/// `payload_at` turns a byte range of `body` into the payload's [`Bytes`] —
-/// the copying reader materialises the range, the shared reader returns a
-/// zero-copy window into the container. This is the single decode loop both
-/// readers share, so their batch streams (and error behaviour) cannot
-/// diverge.
-fn decode_store_with<F>(
+/// The frame head's `count` is checked against the body length before the
+/// store is sized from it: every packet record takes at least
+/// [`MIN_PACKET_BYTES`], so a forged count fails as a typed error instead of
+/// an allocation the body could never fill.
+fn decode_store(
     body: &[u8],
+    shared: Option<&Bytes>,
     count: u32,
     frame: u64,
-    mut payload_at: F,
-) -> Result<PacketStore, FormatError>
-where
-    F: FnMut(std::ops::Range<usize>) -> Bytes,
-{
+) -> Result<PacketStore, FormatError> {
     fn corrupt(frame: u64) -> FormatError {
         FormatError::ChecksumMismatch { location: format!("frame {frame} body") }
     }
@@ -842,6 +651,9 @@ where
         let slice = body.get(*at..*at + n).ok_or_else(|| corrupt(frame))?;
         *at += n;
         Ok(slice)
+    }
+    if count as usize > body.len() / MIN_PACKET_BYTES {
+        return Err(corrupt(frame));
     }
     let mut builder = PacketStore::builder(count as usize);
     let mut at = 0usize;
@@ -860,7 +672,10 @@ where
         } else {
             let start = at;
             take(body, &mut at, payload_len as usize, frame)?;
-            Some(payload_at(start..at))
+            Some(match shared {
+                Some(shared) => shared.slice(start..at),
+                None => Bytes::copy_from_slice(&body[start..at]),
+            })
         };
         builder.push(
             ts,
@@ -897,11 +712,34 @@ mod tests {
     fn falsify_end_count(bytes: &mut [u8], declared: u64) {
         let end = bytes.len() - 17; // kind u8 + count u64 + checksum u64
         assert_eq!(bytes[end], 0, "end frame kind");
-        bytes[end + 1..end + 9].copy_from_slice(&declared.to_le_bytes());
-        let mut fnv = IncrementalFnv::new(CHECKSUM_SEED);
-        fnv.write(&bytes[end..end + 9]);
-        let sum = fnv.finish();
-        bytes[end + 9..end + 17].copy_from_slice(&sum.to_le_bytes());
+        bytes[end..].copy_from_slice(&TRACE.encode_end(declared));
+    }
+
+    #[test]
+    fn a_forged_packet_count_is_a_typed_error_not_an_allocation() {
+        // Frame 0 starts right after the 24-byte header: kind, then the
+        // 32-byte head whose `packet_count` sits at head offset 24.
+        let mut bytes = encode_batches(&sample_batches(false)[..1], 100_000).expect("encode");
+        let head = 24..57;
+        bytes[head.start + 25..head.start + 29].copy_from_slice(&u32::MAX.to_le_bytes());
+        let body_len = le_u32(&bytes, head.start + 29) as usize;
+        let body = head.end..head.end + body_len;
+        // Recompute the frame checksum so the forged count reaches the
+        // decoder instead of failing verification.
+        let checksum = TRACE.frame_checksum(&bytes[head.clone()], &bytes[body.clone()]);
+        bytes[body.end..body.end + 8].copy_from_slice(&checksum.to_le_bytes());
+        for error in [
+            TraceReader::new(&bytes[..]).expect("header").read_batch().expect_err("forged"),
+            SharedTraceReader::new(Bytes::from(bytes.clone()))
+                .expect("header")
+                .read_batch()
+                .expect_err("forged"),
+        ] {
+            assert!(
+                matches!(&error, FormatError::ChecksumMismatch { location } if location == "frame 0 body"),
+                "got {error:?}"
+            );
+        }
     }
 
     #[test]

@@ -1,14 +1,12 @@
 //! Property-based tests of the core data structures and invariants.
 
+use baseline::{clone_flow_sample, clone_packet_sample};
 use netshed::fairness::{eq_srates, mmfs_cpu, mmfs_pkt, Allocation, QueryDemand};
 use netshed::linalg::{ols_solve, Matrix};
 use netshed::monitor::PredictorKind;
 use netshed::monitor::{flow_sample, packet_sample};
 use netshed::sketch::{mix64, BloomFilter, H3Hasher, MultiResolutionBitmap};
 use netshed::trace::{Batch, BatchBuilder, FiveTuple, Packet, TraceConfig, TraceGenerator};
-// The historical clone-based samplers, the reference the zero-copy view path
-// must match bit for bit.
-use netshed_bench::baseline::{clone_flow_sample, clone_packet_sample};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -327,9 +325,9 @@ proptest! {
 
         // Fused extraction over the store vs the ten-pass packet walk.
         let mut fused = netshed::features::FeatureExtractor::with_defaults();
-        let mut tenpass = netshed_bench::baseline::TenPassExtractor::with_defaults();
         let (fused_vector, fused_ops) = fused.extract(&batch);
-        let (tenpass_vector, tenpass_ops) = tenpass.extract(&batch);
+        let (tenpass_vector, tenpass_ops) =
+            baseline::TenPassExtractor::with_defaults().extract(&batch);
         prop_assert_eq!(fused_ops, tenpass_ops);
         for id in netshed::features::FeatureId::all() {
             prop_assert_eq!(
@@ -530,5 +528,126 @@ proptest! {
             }
         }
         prop_assert_eq!(total, batch.len(), "the split must be an exact partition");
+    }
+}
+
+/// The fused extractor matches the ten-pass reference bin after bin, so
+/// the interval state both carry across a measurement interval (the New and
+/// BatchRepeated counters) agrees as well as the per-bin counters.
+#[test]
+fn ten_pass_baseline_agrees_with_the_fused_extractor() {
+    let mut generator = TraceGenerator::new(
+        TraceConfig::default().with_seed(17).with_mean_packets_per_batch(400.0),
+    );
+    let batches = generator.batches(5);
+    let mut fused = netshed::features::FeatureExtractor::with_defaults();
+    let mut reference = baseline::TenPassExtractor::with_defaults();
+    let mut carried_state_mattered = false;
+    for batch in &batches {
+        let (a, ops_a) = fused.extract(batch);
+        let (b, ops_b) = reference.extract(batch);
+        assert_eq!(ops_a, ops_b);
+        for id in netshed::features::FeatureId::all() {
+            assert_eq!(a.get(id), b.get(id), "feature {} diverged", id.name());
+        }
+        let (fresh, _) = baseline::TenPassExtractor::with_defaults().extract(batch);
+        carried_state_mattered |= fresh != b;
+    }
+    assert!(carried_state_mattered, "the batches must share a measurement interval");
+}
+
+/// The historical (pre-refactor) data plane, kept as test-only reference
+/// implementations the zero-copy view shedders and the fused extractor must
+/// match bit for bit.
+mod baseline {
+    use netshed::features::{Aggregate, CounterKind, ExtractorConfig, FeatureId, FeatureVector};
+    use netshed::sketch::{hash_bytes, H3Hasher, MultiResolutionBitmap};
+    use netshed::trace::{aggregate_hash_seed, Batch, Packet};
+    use rand::rngs::StdRng;
+    use rand::Rng;
+
+    /// The clone-based sampling path: copies every kept packet into a fresh
+    /// batch with the same bin geometry.
+    fn filtered(batch: &Batch, mut keep: impl FnMut(&Packet) -> bool) -> (Batch, u64) {
+        let packets: Vec<Packet> =
+            batch.packets.iter().map(|p| p.to_packet()).filter(|p| keep(p)).collect();
+        let dropped = (batch.len() - packets.len()) as u64;
+        (Batch::new(batch.bin_index, batch.start_ts, batch.duration_us, packets), dropped)
+    }
+
+    /// The historical clone-based packet sampler.
+    pub fn clone_packet_sample(batch: &Batch, rate: f64, rng: &mut StdRng) -> (Batch, u64) {
+        match rate.clamp(0.0, 1.0) {
+            rate if rate >= 1.0 => (batch.clone(), 0),
+            rate if rate <= 0.0 => filtered(batch, |_| false),
+            rate => filtered(batch, |_| rng.gen::<f64>() < rate),
+        }
+    }
+
+    /// The historical clone-based flow sampler: re-serialises every
+    /// packet's 5-tuple key.
+    pub fn clone_flow_sample(batch: &Batch, rate: f64, hasher: &H3Hasher) -> (Batch, u64) {
+        match rate.clamp(0.0, 1.0) {
+            rate if rate >= 1.0 => (batch.clone(), 0),
+            rate if rate <= 0.0 => filtered(batch, |_| false),
+            rate => filtered(batch, |p| hasher.unit_interval(&p.tuple.as_key()) < rate),
+        }
+    }
+
+    /// The historical aggregate-major feature extractor: one pass over the
+    /// batch per aggregate, re-serialising and re-hashing a zero-padded
+    /// 13-byte key per packet per pass. Like the fused extractor it carries
+    /// each aggregate's interval bitmap across the bins of a measurement
+    /// interval, which the New and BatchRepeated counters depend on.
+    pub struct TenPassExtractor {
+        config: ExtractorConfig,
+        interval_seen: Vec<MultiResolutionBitmap>,
+        current_interval: Option<u64>,
+    }
+
+    impl TenPassExtractor {
+        pub fn with_defaults() -> Self {
+            let config = ExtractorConfig::default();
+            let interval_seen = Aggregate::ALL
+                .iter()
+                .map(|_| MultiResolutionBitmap::for_cardinality(config.max_cardinality))
+                .collect();
+            Self { config, interval_seen, current_interval: None }
+        }
+
+        pub fn extract(&mut self, batch: &Batch) -> (FeatureVector, u64) {
+            let interval = batch.measurement_interval(self.config.measurement_interval_us);
+            if self.current_interval != Some(interval) {
+                self.interval_seen.iter_mut().for_each(MultiResolutionBitmap::clear);
+                self.current_interval = Some(interval);
+            }
+            let mut vector = FeatureVector::zeros();
+            vector.set(FeatureId::Packets, batch.len() as f64);
+            vector.set(FeatureId::Bytes, batch.total_bytes() as f64);
+            let packets = batch.len() as f64;
+            let mut operations = 0u64;
+            for (index, aggregate) in Aggregate::ALL.iter().enumerate() {
+                let mut batch_unique =
+                    MultiResolutionBitmap::for_cardinality(self.config.max_cardinality);
+                let seed = aggregate_hash_seed(self.config.hash_seed, index);
+                for packet in batch.packets.iter() {
+                    batch_unique.insert_hash(hash_bytes(&aggregate.key(packet.tuple()), seed));
+                    operations += 1;
+                }
+                let unique = batch_unique.estimate().min(packets).round();
+                let interval_seen = &mut self.interval_seen[index];
+                let before = interval_seen.estimate();
+                interval_seen.merge(&batch_unique);
+                let new = (interval_seen.estimate() - before).clamp(0.0, unique).round();
+                vector.set(FeatureId::Counter(*aggregate, CounterKind::Unique), unique);
+                vector.set(FeatureId::Counter(*aggregate, CounterKind::New), new);
+                vector.set(FeatureId::Counter(*aggregate, CounterKind::Repeated), packets - unique);
+                vector.set(
+                    FeatureId::Counter(*aggregate, CounterKind::BatchRepeated),
+                    (packets - new).max(0.0),
+                );
+            }
+            (vector, operations)
+        }
     }
 }
