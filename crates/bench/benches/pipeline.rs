@@ -26,12 +26,11 @@
 //!    steady-state per-bin cost, with the marginal nanoseconds each
 //!    additional tenant adds per bin.
 //! 7. **parallel scaling**: the 2× overload pipeline at 1/2/4 workers —
-//!    measured wall-clock throughput, and the execution-plane projection
-//!    (measured per-task costs under the pool's list schedule) for hosts
-//!    with fewer cores than workers — plus the **sharded** row: the same
-//!    pipeline through the fixed-lane `ShardedMonitor` fleet at 1/2/4 shard
-//!    threads, whose intra-run speedup both endpoints measure in the same
-//!    invocation on the identical lane layout.
+//!    measured wall-clock throughput and speedup — plus the **sharded** row:
+//!    the same pipeline through the fixed-lane `ShardedMonitor` fleet at
+//!    1/2/4 shard threads. Both endpoints of every speedup are measured in
+//!    the same invocation on the identical input; `host_cores` reports how
+//!    many threads the host could run at once.
 //!
 //! Run with `cargo bench -p netshed-bench --bench pipeline`; pass
 //! `-- --smoke` for a fast CI run (fewer iterations, same JSON shape).
@@ -333,8 +332,7 @@ fn bench_pipeline(batches: usize) -> PipelineNumbers {
 /// Runs the same 2× overload pipeline through the sharded fleet (default
 /// virtual-lane count) at the given shard-thread count. The lane layout is
 /// fixed, so every shard count replays the identical computation — the row
-/// reports pure wall-clock scaling, with the execution plane's list-schedule
-/// projection for hosts that cannot run the threads for real.
+/// reports pure wall-clock scaling.
 fn bench_sharded_pipeline_at(batches: usize, shards: usize) -> PipelineNumbers {
     let recorded = TraceGenerator::new(
         TraceConfig::default().with_seed(21).with_mean_packets_per_batch(2000.0),
@@ -427,18 +425,21 @@ fn bench_prediction_plane(bins: usize) -> PredictionPlaneNumbers {
     PredictionPlaneNumbers { bins, reuse_ns_per_bin, reuse_reselect10_ns_per_bin }
 }
 
+/// One measured point of a scaling row: throughput at `threads` workers (or
+/// shard threads) and its ratio to the 1-thread run of the same row.
 struct ScalingPoint {
-    workers: usize,
+    threads: usize,
     packets_per_sec: f64,
     measured_speedup: f64,
-    projected_speedup: f64,
 }
 
-struct ShardedScalingPoint {
-    shards: usize,
-    packets_per_sec: f64,
-    measured_speedup: f64,
-    projected_speedup: f64,
+impl ScalingPoint {
+    fn json(&self, key: &str, indent: &str) -> String {
+        format!(
+            "{indent}{{ \"{key}\": {}, \"packets_per_sec\": {:.0}, \"measured_speedup\": {:.3} }}",
+            self.threads, self.packets_per_sec, self.measured_speedup
+        )
+    }
 }
 
 struct ScalingNumbers {
@@ -446,83 +447,44 @@ struct ScalingNumbers {
     host_cores: usize,
     parallel_fraction: f64,
     points: Vec<ScalingPoint>,
-    speedup_4w: f64,
-    speedup_4w_basis: &'static str,
     shard_lanes: usize,
-    sharded_points: Vec<ShardedScalingPoint>,
-    sharded_speedup_4s: f64,
-    sharded_speedup_4s_basis: &'static str,
+    sharded_points: Vec<ScalingPoint>,
 }
 
-/// The 2× overload pipeline at 1/2/4 workers. Measured wall-clock speedups
-/// are only meaningful when the host has that many cores; the projection —
-/// per-task costs measured on the 1-worker run, scheduled by the same greedy
-/// list discipline the pool uses — says what an N-core host would get, and is
-/// the reported basis whenever the host cannot run N workers for real.
-fn bench_parallel_scaling(batches: usize) -> ScalingNumbers {
-    let host_cores = std::thread::available_parallelism().map_or(1, usize::from);
-    let baseline = bench_pipeline_at(batches, 1);
-    let stats = baseline.exec_stats;
+/// Measures `run` at 1/2/4 threads; every speedup is intra-run, both
+/// endpoints measured in this invocation on the identical input.
+fn scaling_row(run: impl Fn(usize) -> PipelineNumbers) -> (PipelineNumbers, Vec<ScalingPoint>) {
+    let baseline = run(1);
     let mut points = vec![ScalingPoint {
-        workers: 1,
+        threads: 1,
         packets_per_sec: baseline.packets_per_sec,
         measured_speedup: 1.0,
-        projected_speedup: 1.0,
     }];
-    for workers in [2usize, 4] {
-        let run = bench_pipeline_at(batches, workers);
+    for threads in [2usize, 4] {
+        let packets_per_sec = run(threads).packets_per_sec;
         points.push(ScalingPoint {
-            workers,
-            packets_per_sec: run.packets_per_sec,
-            measured_speedup: run.packets_per_sec / baseline.packets_per_sec,
-            projected_speedup: stats.projected_speedup(workers).unwrap_or(1.0),
+            threads,
+            packets_per_sec,
+            measured_speedup: packets_per_sec / baseline.packets_per_sec,
         });
     }
-    let four = points.last().expect("4-worker point");
-    let (speedup_4w, speedup_4w_basis) = if host_cores >= 4 {
-        (four.measured_speedup, "measured")
-    } else {
-        (four.projected_speedup, "projected_list_schedule_single_core_host")
-    };
+    (baseline, points)
+}
 
-    // The sharded row: same pipeline through the fixed-lane fleet at 1/2/4
-    // shard threads. The speedup is intra-run — both endpoints are measured
-    // in this invocation, on the identical lane layout and trace.
-    let sharded_baseline = bench_sharded_pipeline_at(batches, 1);
-    let sharded_stats = sharded_baseline.exec_stats;
-    let mut sharded_points = vec![ShardedScalingPoint {
-        shards: 1,
-        packets_per_sec: sharded_baseline.packets_per_sec,
-        measured_speedup: 1.0,
-        projected_speedup: 1.0,
-    }];
-    for shards in [2usize, 4] {
-        let run = bench_sharded_pipeline_at(batches, shards);
-        sharded_points.push(ShardedScalingPoint {
-            shards,
-            packets_per_sec: run.packets_per_sec,
-            measured_speedup: run.packets_per_sec / sharded_baseline.packets_per_sec,
-            projected_speedup: sharded_stats.projected_speedup(shards).unwrap_or(1.0),
-        });
-    }
-    let four_shards = sharded_points.last().expect("4-shard point");
-    let (sharded_speedup_4s, sharded_speedup_4s_basis) = if host_cores >= 4 {
-        (four_shards.measured_speedup, "measured")
-    } else {
-        (four_shards.projected_speedup, "projected_list_schedule_single_core_host")
-    };
-
+/// The 2× overload pipeline at 1/2/4 workers, and the same pipeline through
+/// the fixed-lane fleet at 1/2/4 shard threads. All speedups are measured
+/// wall-clock ratios; `host_cores` says how many of the threads the host
+/// could actually run at once.
+fn bench_parallel_scaling(batches: usize) -> ScalingNumbers {
+    let (baseline, points) = scaling_row(|workers| bench_pipeline_at(batches, workers));
+    let (_, sharded_points) = scaling_row(|shards| bench_sharded_pipeline_at(batches, shards));
     ScalingNumbers {
         batches,
-        host_cores,
-        parallel_fraction: stats.parallel_fraction(),
+        host_cores: std::thread::available_parallelism().map_or(1, usize::from),
+        parallel_fraction: baseline.exec_stats.parallel_fraction(),
         points,
-        speedup_4w,
-        speedup_4w_basis,
         shard_lanes: netshed_monitor::DEFAULT_SHARD_LANES,
         sharded_points,
-        sharded_speedup_4s,
-        sharded_speedup_4s_basis,
     }
 }
 
@@ -648,13 +610,13 @@ fn main() {
     let scaling = bench_parallel_scaling(pipeline_batches);
     for point in &scaling.points {
         eprintln!(
-            "  {} worker(s): {:.0} packets/s | measured {:.2}x | projected {:.2}x",
-            point.workers, point.packets_per_sec, point.measured_speedup, point.projected_speedup
+            "  {} worker(s): {:.0} packets/s | measured {:.2}x",
+            point.threads, point.packets_per_sec, point.measured_speedup
         );
     }
     eprintln!(
-        "  host cores: {} | parallel fraction {:.2} | 4-worker speedup {:.2}x ({})",
-        scaling.host_cores, scaling.parallel_fraction, scaling.speedup_4w, scaling.speedup_4w_basis
+        "  host cores: {} | parallel fraction {:.2}",
+        scaling.host_cores, scaling.parallel_fraction
     );
     eprintln!(
         "sharded scaling: same pipeline through the {}-lane fleet at 1/2/4 shard threads ...",
@@ -662,14 +624,10 @@ fn main() {
     );
     for point in &scaling.sharded_points {
         eprintln!(
-            "  {} shard(s): {:.0} packets/s | measured {:.2}x | projected {:.2}x",
-            point.shards, point.packets_per_sec, point.measured_speedup, point.projected_speedup
+            "  {} shard(s): {:.0} packets/s | measured {:.2}x",
+            point.threads, point.packets_per_sec, point.measured_speedup
         );
     }
-    eprintln!(
-        "  4-shard speedup {:.2}x ({})",
-        scaling.sharded_speedup_4s, scaling.sharded_speedup_4s_basis
-    );
 
     let registry_points_json: String = registry
         .points
@@ -683,36 +641,12 @@ fn main() {
         })
         .collect::<Vec<_>>()
         .join(",\n");
-    let scaling_points_json: String = scaling
-        .points
-        .iter()
-        .map(|point| {
-            format!(
-                "      {{ \"workers\": {}, \"packets_per_sec\": {:.0}, \
-                 \"measured_speedup\": {:.3}, \"projected_speedup\": {:.3} }}",
-                point.workers,
-                point.packets_per_sec,
-                point.measured_speedup,
-                point.projected_speedup
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let sharded_points_json: String = scaling
-        .sharded_points
-        .iter()
-        .map(|point| {
-            format!(
-                "        {{ \"shards\": {}, \"packets_per_sec\": {:.0}, \
-                 \"measured_speedup\": {:.3}, \"projected_speedup\": {:.3} }}",
-                point.shards,
-                point.packets_per_sec,
-                point.measured_speedup,
-                point.projected_speedup
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
+    let points_json = |points: &[ScalingPoint], key: &str, indent: &str| -> String {
+        points.iter().map(|point| point.json(key, indent)).collect::<Vec<_>>().join(",\n")
+    };
+    // The 4-thread points are the last of each row.
+    let speedup_4w = scaling.points[2].measured_speedup;
+    let sharded_speedup_4s = scaling.sharded_points[2].measured_speedup;
     let json = format!(
         "{{\n  \"generated_by\": \"cargo bench -p netshed-bench --bench pipeline{}\",\n  \
          \"smoke\": {},\n  \
@@ -733,9 +667,9 @@ fn main() {
          \"marginal_ns_per_query_per_bin\": {:.0}\n  }},\n  \
          \"parallel_scaling\": {{\n    \"batches\": {},\n    \"host_cores\": {},\n    \
          \"parallel_fraction\": {:.3},\n    \"workers\": [\n{}\n    ],\n    \
-         \"speedup_4w\": {:.3},\n    \"speedup_4w_basis\": \"{}\",\n    \
+         \"speedup_4w\": {:.3},\n    \
          \"sharded\": {{\n      \"shard_lanes\": {},\n      \"shards\": [\n{}\n      ],\n      \
-         \"sharded_speedup_4s\": {:.3},\n      \"sharded_speedup_4s_basis\": \"{}\"\n    }}\n  }}\n}}\n",
+         \"sharded_speedup_4s\": {:.3}\n    }}\n  }}\n}}\n",
         if smoke { " -- --smoke" } else { "" },
         smoke,
         extract.packets,
@@ -761,13 +695,11 @@ fn main() {
         scaling.batches,
         scaling.host_cores,
         scaling.parallel_fraction,
-        scaling_points_json,
-        scaling.speedup_4w,
-        scaling.speedup_4w_basis,
+        points_json(&scaling.points, "workers", "      "),
+        speedup_4w,
         scaling.shard_lanes,
-        sharded_points_json,
-        scaling.sharded_speedup_4s,
-        scaling.sharded_speedup_4s_basis,
+        points_json(&scaling.sharded_points, "shards", "        "),
+        sharded_speedup_4s,
     );
     // Cargo runs bench binaries with the package directory as CWD; default
     // to the workspace root so the JSON lands in one predictable place.

@@ -23,6 +23,20 @@ pub fn justified() -> Vec<u32> {
     Vec::new()
 }
 
+pub fn zeroed(n: usize) -> Vec<u64> {
+    vec![0; n]
+}
+
+// An empty `vec![]` allocates nothing: never flagged.
+pub fn empty() -> Vec<u64> {
+    vec![]
+}
+
+pub fn justified_zeroed(n: usize) -> Vec<u64> {
+    // lint:allow(hot-path-alloc): sized once at construction, reused every bin
+    vec![0; n]
+}
+
 #[cfg(test)]
 mod tests {
     // Test code allocates freely; the rule is masked here.

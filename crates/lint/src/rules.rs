@@ -47,10 +47,10 @@ pub struct Config {
     pub unwrap_skips_binaries: bool,
     /// Path prefixes of the *designated hot-path modules*, where
     /// `hot-path-alloc` flags per-packet/per-bin heap allocation
-    /// (`.collect()`, `.to_vec()`, `Vec::new`). Inverted polarity: the rule
-    /// is active only *inside* these prefixes — everywhere else allocation
-    /// is unremarkable. `Vec::with_capacity` is always fine (setup code
-    /// sizes its buffers once).
+    /// (`.collect()`, `.to_vec()`, `Vec::new`, a non-empty `vec![..]`).
+    /// Inverted polarity: the rule is active only *inside* these prefixes —
+    /// everywhere else allocation is unremarkable. `Vec::with_capacity` is
+    /// always fine (setup code sizes its buffers once).
     pub hot_path: Vec<String>,
 }
 
@@ -219,6 +219,17 @@ fn scan(tokens: &[Token], in_test: &[bool], mut emit: impl FnMut(&'static str, u
     let ident_is = |i: usize, name: &str| -> bool {
         matches!(code.get(i), Some((_, t)) if matches!(&t.kind, TokenKind::Ident(n) if n == name))
     };
+    // Whether the macro delimiter at `open` encloses at least one token
+    // (`vec![]` allocates nothing; `vec![x; n]` and `vec![a, b]` do).
+    let macro_body_nonempty = |open: usize| -> bool {
+        let close = match punct(open) {
+            Some('[') => ']',
+            Some('(') => ')',
+            Some('{') => '}',
+            _ => return false,
+        };
+        punct(open + 1) != Some(close)
+    };
 
     // merge-order is stateful: a map-iterator call arms the rule until the
     // statement ends; a fold while armed fires.
@@ -277,6 +288,19 @@ fn scan(tokens: &[Token], in_test: &[bool], mut emit: impl FnMut(&'static str, u
                              into caller-provided scratch or justify the allocation"
                         ),
                     ),
+                    "vec"
+                        if !after_dot
+                            && punct(i + 1) == Some('!')
+                            && macro_body_nonempty(i + 2) =>
+                    {
+                        emit(
+                            "hot-path-alloc",
+                            line,
+                            "`vec![..]` allocates in a designated hot-path module; use a \
+                             pooled or caller-provided buffer or justify the allocation"
+                                .to_owned(),
+                        );
+                    }
                     "new"
                         if after_path
                             && punct(i.wrapping_sub(2)) == Some(':')
@@ -510,6 +534,20 @@ mod tests {
                 ("hot-path-alloc".into(), 1),
                 ("hot-path-alloc".into(), 2),
                 ("hot-path-alloc".into(), 3),
+            ]
+        );
+    }
+
+    #[test]
+    fn hot_path_alloc_flags_vec_macros_with_a_body() {
+        let src = "let a = vec![0u64; n];\nlet b = vec![1, 2];\nlet c: Vec<u8> = vec![];\n\
+                   let d = vec!(3);\nlet e: Vec<u8> = vec!();\nlet f = vec;\n";
+        assert_eq!(
+            unsuppressed("f.rs", src),
+            [
+                ("hot-path-alloc".into(), 1),
+                ("hot-path-alloc".into(), 2),
+                ("hot-path-alloc".into(), 4),
             ]
         );
     }

@@ -95,6 +95,8 @@ fn hot_path_alloc_fires_suppresses_and_stays_clean() {
             ("hot-path-alloc", 9, false),  // .to_vec()
             ("hot-path-alloc", 13, false), // Vec::new
             ("hot-path-alloc", 23, true),  // once-per-run setup, justified
+            ("hot-path-alloc", 27, false), // vec![0; n]
+            ("hot-path-alloc", 37, true),  // vec! sized at construction, justified
         ])
     );
 }

@@ -7,9 +7,9 @@ use crate::capture::CaptureBuffer;
 use crate::config::MonitorConfig;
 use crate::driver;
 use crate::error::NetshedError;
-use crate::exec::{self, ExecStats};
+use crate::exec::{self, BinTally, ExecStats};
 use crate::observer::RunObserver;
-use crate::policy::{ControlContext, ControlPolicy};
+use crate::policy::{ControlContext, ControlDecision, ControlPolicy};
 use crate::report::{BinRecord, QueryBinRecord, RunSummary};
 use crate::shedder::{flow_sample_with, packet_sample_with};
 use netshed_fairness::QueryDemand;
@@ -69,38 +69,12 @@ impl std::fmt::Display for QueryId {
     }
 }
 
-/// The per-query state an execution-plane worker mutates while processing a
-/// bin: the query itself, its oracle shadow twin, its predictor and the
-/// extractor that recomputes features over its sampled stream.
+/// One query registered in the monitor: its control-plane fields, the state
+/// an execution-plane task mutates while processing a bin, and the bin slot.
 ///
-/// Split out of [`RegisteredQuery`] so a dispatched task can borrow one
-/// query's execution state `&mut` while the monitor keeps the control-plane
-/// fields (label, enforcement counters, flow hasher) to itself — the borrow
-/// boundary that makes the scoped-worker dispatch safe.
-struct QueryExecState {
-    query: Box<dyn Query>,
-    /// Shadow twin fed the full (unsampled) stream to measure the bin's
-    /// actual cycles for oracle-style policies. Its work is not charged
-    /// against the capacity.
-    shadow: Option<Box<dyn Query>>,
-    predictor: Box<dyn Predictor>,
-    /// Extractor used to recompute features over this query's sampled stream
-    /// (needed to keep the MLR history consistent, Section 4.3).
-    sampled_extractor: FeatureExtractor,
-    /// Keep-list pool for the flow-sampled view this query's worker task
-    /// builds; owned per query so the dispatch needs no shared state.
-    shed_pool: KeepListPool,
-}
-
-// Execution states cross the scoped-thread boundary as `&mut` borrows;
-// `Query`, `Predictor` and the extractor are all `Send` by bound or by
-// construction. Compile-time proof:
-const _: () = {
-    const fn assert_send<T: Send>() {}
-    assert_send::<QueryExecState>();
-};
-
-/// One query registered in the monitor, together with its prediction state.
+/// The stages of [`Monitor::process_batch`] that use the execution plane
+/// dispatch over `&mut RegisteredQuery` directly: a task touches only its own
+/// query plus shared read-only bin data.
 struct RegisteredQuery {
     id: QueryId,
     label: String,
@@ -117,8 +91,134 @@ struct RegisteredQuery {
     overuse_ratio: f64,
     violations: u32,
     penalty_remaining: u32,
-    /// The state a dispatched worker borrows while processing a bin.
-    exec: QueryExecState,
+    query: Box<dyn Query>,
+    /// Shadow twin fed the full (unsampled) stream to measure the bin's
+    /// actual cycles for oracle-style policies. Its work is not charged
+    /// against the capacity.
+    shadow: Option<Box<dyn Query>>,
+    predictor: Box<dyn Predictor>,
+    /// Extractor used to recompute features over this query's sampled stream
+    /// (needed to keep the MLR history consistent, Section 4.3).
+    sampled_extractor: FeatureExtractor,
+    /// Keep-list pool for the flow-sampled view this query's task builds;
+    /// owned per query so the dispatch needs no shared state.
+    shed_pool: KeepListPool,
+    /// This bin's inputs and outputs.
+    slot: BinSlot,
+}
+
+// Registered queries cross the scoped-thread boundary as `&mut` borrows;
+// `Query`, `Predictor` and the extractor are all `Send` by bound or by
+// construction. Compile-time proof:
+const _: () = {
+    const fn assert_send<T: Send>() {}
+    assert_send::<RegisteredQuery>();
+};
+
+/// How a query obtains the view it processes this bin: decided by the plan
+/// stage, taken back by the merge stage.
+#[derive(Default)]
+enum Plan {
+    /// Not run: penalised by the Chapter 6 enforcement, or given rate 0.
+    #[default]
+    Skip,
+    /// The full post-drop batch: rate 1, or custom shedding (the query
+    /// scales its own work).
+    Full,
+    /// A packet sample drawn in the plan stage, whose RNG draws must follow
+    /// registration order.
+    PacketSampled(BatchView),
+    /// Flow-sampled inside the task: H3 hashing over the shared flow keys is
+    /// deterministic per query and draws from no shared stream.
+    FlowSampled,
+}
+
+/// One query's inputs and outputs for the bin being processed. Derivable
+/// scratch: reset by the predict stage every bin and never checkpointed.
+#[derive(Default)]
+struct BinSlot {
+    /// Predicted full-batch cycles (0 while penalised).
+    prediction: f64,
+    /// The prediction's cost in predictor elementary operations.
+    predict_ops: u64,
+    /// Measured full-batch cycles of the shadow twin, or the prediction when
+    /// there is none (oracle-style policies only).
+    shadow_cycles: f64,
+    /// Sampling rate the query runs at (0 when skipped).
+    rate: f64,
+    plan: Plan,
+    /// Measurement noise, pre-drawn in registration order.
+    noise: NoiseDraw,
+    measured_cycles: f64,
+    outlier: bool,
+    delivered_packets: u64,
+    reextract_ops: u64,
+}
+
+impl RegisteredQuery {
+    /// The run-tail task: sheds, re-extracts features over the sampled
+    /// stream, runs the query, applies the pre-drawn noise and feeds the
+    /// measurement back to the predictor.
+    fn run_planned(&mut self, post_drop: &BatchView, features: &FeatureVector) {
+        let slot = &mut self.slot;
+        let flow_sampled;
+        let delivered = match &slot.plan {
+            Plan::Skip => return,
+            Plan::Full => post_drop,
+            Plan::PacketSampled(view) => view,
+            Plan::FlowSampled => {
+                flow_sampled =
+                    flow_sample_with(post_drop, slot.rate, &self.flow_hasher, &mut self.shed_pool)
+                        .0;
+                &flow_sampled
+            }
+        };
+        slot.delivered_packets = delivered.len() as u64;
+
+        // Recompute the features over the sampled stream so the MLR history
+        // stays consistent (Section 4.3).
+        let sampled_features = if matches!(slot.plan, Plan::Full) {
+            None
+        } else {
+            let (extracted, ops) = self.sampled_extractor.extract_view(delivered);
+            slot.reextract_ops = ops;
+            Some(extracted)
+        };
+
+        let mut meter = CycleMeter::new();
+        self.query.process_batch(delivered, slot.rate, &mut meter);
+        let (measured, outlier) = slot.noise.apply(meter.cycles());
+        let measured = measured as f64;
+
+        // Feed the observation back into the prediction history. For custom
+        // shedding the assigned rate plays the same role as a sampling rate:
+        // the query is expected to scale its work by it.
+        let expected = slot.prediction * slot.rate;
+        let history_features = sampled_features.as_ref().unwrap_or(features);
+        if outlier {
+            // Replace corrupted measurements with the prediction (Section
+            // 3.2.4 / 4.4).
+            self.predictor.observe_corrupted(history_features, expected.max(0.0));
+        } else if self.shedding == SheddingMethod::Custom && slot.rate < 1.0 {
+            // Custom shedding: the history models the full-batch cost, so
+            // scale the measurement by the requested rate.
+            self.predictor.observe(features, measured / slot.rate.max(1e-6));
+        } else {
+            self.predictor.observe(history_features, measured);
+        }
+        slot.measured_cycles = measured;
+        slot.outlier = outlier;
+    }
+}
+
+/// Cycle and packet accounting a bin accumulates across its stages.
+#[derive(Default)]
+struct BinCosts {
+    prediction_cycles: u64,
+    shedding_cycles: u64,
+    query_cycles: f64,
+    /// Packets the queries did not see, summed over queries.
+    unsampled_packets: u64,
 }
 
 /// The load-shedding monitoring system.
@@ -157,12 +257,14 @@ pub struct Monitor {
     /// Keep-list pool for the plan-phase shed views (capture-buffer overflow
     /// and packet sampling), recycled across bins.
     shed_pool: KeepListPool,
-    /// Per-dispatch timing scratches, one per dispatch site of a bin, so the
-    /// steady-state loop re-dispatches without allocating.
-    extract_timings: exec::TaskTimings,
-    predict_timings: exec::TaskTimings,
-    shadow_timings: exec::TaskTimings,
-    tail_timings: exec::TaskTimings,
+    /// The current bin's dispatches, folded into `exec_stats` at bin close.
+    tally: BinTally,
+    /// Per-bin scratch the control policy reads, in registration order:
+    /// predictions, overuse-corrected demands and (oracle-style policies
+    /// only) measured shadow cycles. Reused so a bin allocates none of them.
+    predictions: Vec<f64>,
+    demands: Vec<QueryDemand>,
+    measured_cycles: Vec<f64>,
 }
 
 impl std::fmt::Debug for Monitor {
@@ -213,10 +315,10 @@ impl Monitor {
             next_query_id: 0,
             exec_stats: ExecStats::default(),
             shed_pool: KeepListPool::new(),
-            extract_timings: exec::TaskTimings::new(),
-            predict_timings: exec::TaskTimings::new(),
-            shadow_timings: exec::TaskTimings::new(),
-            tail_timings: exec::TaskTimings::new(),
+            tally: BinTally::default(),
+            predictions: Vec::new(),
+            demands: Vec::new(),
+            measured_cycles: Vec::new(),
             config,
         }
     }
@@ -251,7 +353,7 @@ impl Monitor {
         self.policy = policy;
         let needs_shadow = self.policy.needs_measured_cycles();
         for registered in &mut self.queries {
-            registered.exec.shadow = if needs_shadow {
+            registered.shadow = if needs_shadow {
                 registered.spec.as_ref().map(|spec| build_query_from_spec(spec))
             } else {
                 None
@@ -271,14 +373,6 @@ impl Monitor {
     /// studies query arrivals): the new instance takes part in prediction and
     /// allocation from the next batch on.
     pub fn register(&mut self, spec: &QuerySpec) -> Result<QueryId, NetshedError> {
-        if let Some(rate) = spec.min_sampling_rate {
-            if !rate.is_finite() || !(0.0..=1.0).contains(&rate) {
-                return Err(NetshedError::InvalidConfig(format!(
-                    "min_sampling_rate for '{}' must be in [0, 1], got {rate}",
-                    spec.resolved_label()
-                )));
-            }
-        }
         let query = build_query_from_spec(spec);
         self.register_inner(
             query,
@@ -338,16 +432,15 @@ impl Monitor {
             overuse_ratio: 1.0,
             violations: 0,
             penalty_remaining: 0,
-            exec: QueryExecState {
-                query,
-                shadow,
-                predictor,
-                sampled_extractor: FeatureExtractor::new(ExtractorConfig {
-                    measurement_interval_us: self.config.measurement_interval_us,
-                    ..ExtractorConfig::default()
-                }),
-                shed_pool: KeepListPool::new(),
-            },
+            query,
+            shadow,
+            predictor,
+            sampled_extractor: FeatureExtractor::new(ExtractorConfig {
+                measurement_interval_us: self.config.measurement_interval_us,
+                ..ExtractorConfig::default()
+            }),
+            shed_pool: KeepListPool::new(),
+            slot: BinSlot::default(),
         };
         self.queries.push(registered);
         Ok(id)
@@ -396,9 +489,9 @@ impl Monitor {
         self.config.workers
     }
 
-    /// Cumulative execution-plane telemetry: time spent on the sequential
-    /// control path vs in dispatchable tasks, and the makespans a 1/2/4/8
-    /// worker pool would need for the measured task costs. See [`ExecStats`].
+    /// Cumulative execution-plane telemetry, all of it measured: time spent
+    /// on the sequential control path vs summed over dispatched tasks, and
+    /// the task count. See [`ExecStats`].
     pub fn exec_stats(&self) -> ExecStats {
         self.exec_stats
     }
@@ -444,15 +537,7 @@ impl Monitor {
     /// lane every non-empty global bin — non-empty sub-batches through
     /// `process_batch`, empty ones through this method.
     pub fn advance_empty_bin(&mut self, batch: &Batch) -> Option<Vec<(String, QueryOutput)>> {
-        let interval = batch.measurement_interval(self.config.measurement_interval_us);
-        let interval_outputs =
-            if self.current_interval.is_some() && self.current_interval != Some(interval) {
-                Some(self.close_interval())
-            } else {
-                None
-            };
-        self.current_interval = Some(interval);
-        interval_outputs
+        self.advance_interval(batch).1
     }
 
     /// Drives the full monitoring pipeline over a batch source until the
@@ -486,6 +571,11 @@ impl Monitor {
 
     /// Processes one incoming batch and returns the record of what happened.
     ///
+    /// The bin runs Algorithm 1 as a sequence of stages: admit (interval
+    /// clock, capture buffer), extract, predict, measure shadows (oracle-style
+    /// policies only), decide, plan, run tail, merge and close bin. Each
+    /// query's per-bin inputs and outputs live in its bin slot.
+    ///
     /// Returns [`NetshedError::EmptyBatch`] for a batch with no packets and
     /// [`NetshedError::CapacityUnderflow`] when the configured capacity is
     /// not positive (possible only for monitors built by [`Monitor::new`]
@@ -504,167 +594,168 @@ impl Monitor {
                 required: self.config.platform_overhead_cycles.max(f64::MIN_POSITIVE),
             });
         }
-        let incoming_packets = batch.len() as u64;
+        let (interval, interval_outputs) = self.advance_interval(batch);
+        let post_drop = self.admit(batch);
+        let uncontrolled_drops = batch.len() as u64 - post_drop.len() as u64;
+        let mut costs = BinCosts::default();
+        let features = self.extract(&post_drop, &mut costs);
+        self.predict(&features, &mut costs);
+        let oracle = self.policy.needs_measured_cycles();
+        if oracle {
+            self.measure_shadows(&post_drop);
+        }
+        let (available_cycles, decision) =
+            self.decide(batch.bin_index, &costs, uncontrolled_drops, oracle);
+        self.plan(&post_drop, &decision.rates, interval, &mut costs);
+        self.run_tail(&post_drop, &features);
+        let queries = self.merge(&post_drop, &mut costs);
+        self.close_bin(&decision.rates, &costs);
+        self.exec_stats
+            .fold_bin(bin_start.elapsed().as_nanos() as u64, std::mem::take(&mut self.tally));
 
-        // Measurement interval bookkeeping: close the previous interval when
-        // the new batch belongs to a different one.
+        Ok(BinRecord {
+            bin_index: batch.bin_index,
+            incoming_packets: batch.len() as u64,
+            uncontrolled_drops,
+            unsampled_packets: costs
+                .unsampled_packets
+                .checked_div(self.queries.len() as u64)
+                .unwrap_or(0),
+            available_cycles,
+            predicted_cycles: self.predictions.iter().sum(),
+            query_cycles: costs.query_cycles,
+            prediction_cycles: costs.prediction_cycles as f64,
+            shedding_cycles: costs.shedding_cycles as f64,
+            platform_cycles: self.config.platform_overhead_cycles,
+            buffer_occupation: self.buffer.occupation(),
+            queries,
+            interval_outputs,
+            decision,
+        })
+    }
+
+    /// The measurement-interval clock (head of the *admit* stage, and all of
+    /// [`Monitor::advance_empty_bin`]): closes the previous interval when
+    /// `batch` belongs to a different one. Returns the batch's interval and
+    /// the closed interval's outputs.
+    fn advance_interval(&mut self, batch: &Batch) -> (u64, Option<Vec<(String, QueryOutput)>>) {
         let interval = batch.measurement_interval(self.config.measurement_interval_us);
-        let interval_outputs =
-            if self.current_interval.is_some() && self.current_interval != Some(interval) {
-                Some(self.close_interval())
-            } else {
-                None
-            };
+        let closed = self
+            .current_interval
+            .is_some_and(|current| current != interval)
+            .then(|| self.close_interval());
         self.current_interval = Some(interval);
+        (interval, closed)
+    }
 
-        // Capture buffer: drop the overflow fraction without control. From
-        // here on the bin is processed through zero-copy views sharing the
-        // incoming batch's packet store. The overflow path materialises the
-        // admitted packets into a fresh store (one copy, as pre-refactor) so
-        // the per-batch caches built below — aggregate hashes, flow keys —
-        // cover only admitted packets instead of hashing traffic that was
-        // just dropped.
-        let drop_fraction = self.buffer.admit(incoming_packets);
-        let post_drop = if drop_fraction > 0.0 {
+    /// Stage *admit*: the capture buffer drops the overflow fraction without
+    /// control. From here on the bin is processed through zero-copy views
+    /// sharing the returned post-drop store. The overflow path materialises
+    /// the admitted packets into a fresh store (one copy) so the per-batch
+    /// caches built later — aggregate hashes, flow keys — cover only
+    /// admitted packets instead of hashing traffic that was just dropped.
+    fn admit(&mut self, batch: &Batch) -> BatchView {
+        let drop_fraction = self.buffer.admit(batch.len() as u64);
+        if drop_fraction > 0.0 {
             let keep = 1.0 - drop_fraction;
             let (kept, _) =
                 packet_sample_with(&batch.view(), keep, &mut self.rng, &mut self.shed_pool);
             kept.materialize().view()
         } else {
             batch.view()
-        };
-        let uncontrolled_drops = incoming_packets - post_drop.len() as u64;
-
-        // Feature extraction over the full (post-drop) batch. This is where
-        // the per-packet aggregate hashes are materialised and cached on the
-        // batch; every per-query re-extraction below reuses them. The ten
-        // aggregates are independent bitmap sets, so the extraction is
-        // sharded per aggregate across the execution plane (bit-identical to
-        // the fused pass — inserts into one bitmap commute).
-        let workers = self.config.workers;
-        let mut dispatch_wall_ns = 0u64;
-        // lint:allow(telemetry-clock): dispatch wall time is ExecStats telemetry; the merge stays registration-ordered
-        let dispatch_start = Instant::now();
-        let mut shards = self.extractor.shard(&post_drop);
-        exec::run_tasks_into(
-            workers,
-            &mut shards,
-            |shard| {
-                // The first shard to touch the batch builds the shared hash
-                // cache inside its `OnceLock` init; late shards block on it
-                // briefly and then read, so the single-pass build still
-                // happens exactly once.
-                shard.process(&post_drop);
-            },
-            &mut self.extract_timings,
-        );
-        let (features, extraction_ops) = FeatureExtractor::finish_shards(&post_drop, &shards);
-        dispatch_wall_ns += dispatch_start.elapsed().as_nanos() as u64;
-        let mut prediction_cycles = extraction_ops * FEATURE_OP_CYCLES;
-
-        // Per-query predictions of the full-batch cost. Every predictor owns
-        // its history and reads only the shared feature vector, so the
-        // predictions — FCBF selection plus an OLS solve each under the
-        // default MLR — are fanned out across the execution plane; the merge
-        // below collects values and cost accounting in registration order,
-        // so the result is bit-identical to the sequential loop.
-        struct PredictTask<'a> {
-            predictor: &'a mut Box<dyn Predictor>,
-            penalized: bool,
-            features: &'a FeatureVector,
-            predicted: f64,
-            cost_operations: u64,
         }
-        let mut predict_tasks: Vec<PredictTask> = self
-            .queries
-            .iter_mut()
-            .map(|registered| PredictTask {
-                predictor: &mut registered.exec.predictor,
-                penalized: registered.penalty_remaining > 0,
-                features: &features,
-                predicted: 0.0,
-                cost_operations: 0,
-            })
-            .collect();
-        // lint:allow(telemetry-clock): dispatch wall time is ExecStats telemetry only
-        let dispatch_start = Instant::now();
+    }
+
+    /// Stage *extract* (dispatched per aggregate): feature extraction over
+    /// the full post-drop batch. This is where the per-packet aggregate
+    /// hashes are materialised and cached on the batch; every per-query
+    /// re-extraction reuses them. The ten aggregates are independent bitmap
+    /// sets, so the sharded extraction is bit-identical to the fused pass.
+    fn extract(&mut self, post_drop: &BatchView, costs: &mut BinCosts) -> FeatureVector {
+        let mut shards = self.extractor.shard(post_drop);
+        // The first shard to touch the batch builds the shared hash cache
+        // inside its `OnceLock` init; late shards block on it briefly and
+        // then read, so the single-pass build still happens exactly once.
         exec::run_tasks_into(
-            workers,
-            &mut predict_tasks,
-            |task| {
-                if !task.penalized {
-                    task.predicted = task.predictor.predict(task.features);
-                    task.cost_operations = task.predictor.last_cost_operations();
+            self.config.workers,
+            &mut shards,
+            |shard| shard.process(post_drop),
+            &mut self.tally,
+        );
+        let (features, extraction_ops) = FeatureExtractor::finish_shards(post_drop, &shards);
+        costs.prediction_cycles += extraction_ops * FEATURE_OP_CYCLES;
+        features
+    }
+
+    /// Stage *predict* (dispatched per query): every predictor owns its
+    /// history and reads only the shared feature vector; penalised queries
+    /// predict nothing. Resets each query's bin slot and fills the
+    /// registration-ordered `predictions` scratch.
+    fn predict(&mut self, features: &FeatureVector, costs: &mut BinCosts) {
+        exec::run_tasks_into(
+            self.config.workers,
+            &mut self.queries,
+            |registered| {
+                registered.slot = BinSlot::default();
+                if registered.penalty_remaining == 0 {
+                    registered.slot.prediction = registered.predictor.predict(features);
+                    registered.slot.predict_ops = registered.predictor.last_cost_operations();
                 }
             },
-            &mut self.predict_timings,
+            &mut self.tally,
         );
-        dispatch_wall_ns += dispatch_start.elapsed().as_nanos() as u64;
-        let mut predictions = Vec::with_capacity(predict_tasks.len());
-        for task in &predict_tasks {
-            prediction_cycles += task.cost_operations * PREDICT_OP_CYCLES;
-            predictions.push(task.predicted);
+        self.predictions.clear();
+        for registered in &self.queries {
+            costs.prediction_cycles += registered.slot.predict_ops * PREDICT_OP_CYCLES;
+            self.predictions.push(registered.slot.prediction);
         }
-        drop(predict_tasks);
-        let predicted_total: f64 = predictions.iter().sum();
+    }
 
-        // For oracle-style policies: measure each query's true full-batch
-        // cycles on a shadow twin fed the unsampled stream. The shadow work
-        // models an idealised upper bound and is not charged to the bin.
-        // Every twin is independent deterministic state, so the measurements
-        // are fanned out across the execution plane and collected by index.
-        let measured_full: Option<Vec<f64>> = if self.policy.needs_measured_cycles() {
-            struct ShadowTask<'a> {
-                shadow: Option<&'a mut Box<dyn Query>>,
-                fallback: f64,
-                cycles: f64,
-            }
-            let mut tasks: Vec<ShadowTask> = self
-                .queries
-                .iter_mut()
-                .zip(&predictions)
-                .map(|(registered, &fallback)| ShadowTask {
-                    shadow: registered.exec.shadow.as_mut(),
-                    fallback,
-                    cycles: 0.0,
-                })
-                .collect();
-            // lint:allow(telemetry-clock): shadow dispatch wall time is ExecStats telemetry only
-            let dispatch_start = Instant::now();
-            exec::run_tasks_into(
-                workers,
-                &mut tasks,
-                |task| {
-                    task.cycles = match task.shadow.as_mut() {
-                        Some(shadow) => {
-                            let mut meter = CycleMeter::new();
-                            shadow.process_batch(&post_drop, 1.0, &mut meter);
-                            meter.cycles() as f64
-                        }
-                        None => task.fallback,
-                    };
-                },
-                &mut self.shadow_timings,
-            );
-            dispatch_wall_ns += dispatch_start.elapsed().as_nanos() as u64;
-            Some(tasks.into_iter().map(|task| task.cycles).collect())
-        } else {
-            self.shadow_timings.clear();
-            None
-        };
+    /// Stage *measure shadows* (dispatched per query; oracle-style policies
+    /// only): each query's true full-batch cycles, measured on a shadow twin
+    /// fed the unsampled stream. The shadow work models an idealised upper
+    /// bound and is not charged to the bin; queries without a twin report
+    /// their prediction.
+    fn measure_shadows(&mut self, post_drop: &BatchView) {
+        exec::run_tasks_into(
+            self.config.workers,
+            &mut self.queries,
+            |registered| {
+                registered.slot.shadow_cycles = match registered.shadow.as_mut() {
+                    Some(shadow) => {
+                        let mut meter = CycleMeter::new();
+                        shadow.process_batch(post_drop, 1.0, &mut meter);
+                        meter.cycles() as f64
+                    }
+                    None => registered.slot.prediction,
+                };
+            },
+            &mut self.tally,
+        );
+        self.measured_cycles.clear();
+        self.measured_cycles
+            .extend(self.queries.iter().map(|registered| registered.slot.shadow_cycles));
+    }
 
-        // Decide the per-query sampling rates: hand the control policy
-        // everything the monitor knows about the bin.
+    /// Stage *decide*: hands the control policy everything the monitor knows
+    /// about the bin. Returns the cycles available to the queries and the
+    /// sanitised decision.
+    fn decide(
+        &mut self,
+        bin_index: u64,
+        costs: &BinCosts,
+        uncontrolled_drops: u64,
+        oracle: bool,
+    ) -> (f64, ControlDecision) {
         let platform_cycles = self.config.platform_overhead_cycles;
         let delay = self.buffer.delay_cycles();
         let rtthresh = if self.config.buffer_discovery { self.rtthresh } else { 0.0 };
         let available_cycles = self.config.capacity_cycles_per_bin
-            - (platform_cycles + prediction_cycles as f64)
+            - (platform_cycles + costs.prediction_cycles as f64)
             + (rtthresh - delay);
-        let demands: Vec<QueryDemand> = predictions
-            .iter()
-            .zip(&self.queries)
-            .map(|(&prediction, registered)| {
+        self.demands.clear();
+        self.demands.extend(self.queries.iter().zip(&self.predictions).map(
+            |(registered, &prediction)| {
                 // Chapter 6 correction: custom queries that habitually
                 // overuse their allocation are charged for it.
                 let corrected = if registered.shedding == SheddingMethod::Custom {
@@ -673,12 +764,12 @@ impl Monitor {
                     prediction
                 };
                 QueryDemand::new(corrected, registered.min_rate)
-            })
-            .collect();
+            },
+        ));
         let context = ControlContext {
-            bin_index: batch.bin_index,
-            predictions: &predictions,
-            demands: &demands,
+            bin_index,
+            predictions: &self.predictions,
+            demands: &self.demands,
             available_cycles,
             error_ewma: self.error_ewma,
             shed_cycles_ewma: self.shed_cycles_ewma,
@@ -687,103 +778,28 @@ impl Monitor {
             prev_query_cycles: self.reactive_query_cycles,
             uncontrolled_drops,
             rate_floor: self.config.reactive_min_rate,
-            measured_cycles: measured_full.as_deref(),
+            measured_cycles: oracle.then_some(self.measured_cycles.as_slice()),
         };
-        let decision = self.policy.decide(&context).sanitized(&demands);
-        let rates = &decision.rates;
+        let decision = self.policy.decide(&context).sanitized(&self.demands);
+        (available_cycles, decision)
+    }
 
-        // Run every query on its (possibly sampled) share of the batch, in
-        // three phases (see DESIGN.md, "Execution plane"):
-        //
-        // 1. *Plan* (sequential, registration order): penalty accounting,
-        //    flow-hasher refresh, RNG-driven shed-view construction and the
-        //    measurement-noise pre-draw — everything whose stream order the
-        //    sequential path fixed.
-        // 2. *Dispatch* (parallel): per-query sampled re-extraction, the
-        //    query run, noise application and the predictor feedback, each
-        //    task confined to its own query's execution state.
-        // 3. *Merge* (sequential, registration order): cycle sums, Chapter 6
-        //    enforcement and the per-query records.
-        //
-        // Because phase 2 receives fully determined inputs and only writes
-        // per-task state, the merged output is bit-identical to the
-        // sequential path for any worker count.
-        /// How a task obtains the (possibly sampled) view it processes.
-        enum ShedView<'a> {
-            /// Fully determined in the plan phase: the full batch, a custom
-            /// query's full batch, or an RNG-driven packet sample whose draws
-            /// had to stay in plan order.
-            Ready(BatchView),
-            /// Flow-sample the post-drop view inside the worker: H3 hashing
-            /// over the shared flow keys is deterministic per query, so it
-            /// consumes no plan-ordered resource.
-            FlowSampled(&'a H3Hasher),
-        }
-        struct RunTask<'a> {
-            exec: &'a mut QueryExecState,
-            shedding: SheddingMethod,
-            post_drop: &'a BatchView,
-            view: ShedView<'a>,
-            needs_reextract: bool,
-            rate: f64,
-            predicted: f64,
-            noise: NoiseDraw,
-            features: &'a FeatureVector,
-            // Outputs, filled by the worker.
-            measured: f64,
-            outlier: bool,
-            delivered_packets: u64,
-            reextract_ops: u64,
-        }
-        /// What the plan decided for one query, in registration order.
-        enum Planned {
-            /// Not run this bin; the record is already complete.
-            Skip(QueryBinRecord),
-            /// Run as the task at this index of the dispatch set.
-            Run(usize),
-        }
-
-        let mut planned: Vec<Planned> = Vec::with_capacity(self.queries.len());
-        let mut tasks: Vec<RunTask> = Vec::with_capacity(self.queries.len());
-        let mut shedding_cycles = 0u64;
-        let mut unsampled_accumulator = 0u64;
-        let seed = self.config.seed;
-        // Split the monitor's fields so the per-query execution states can be
-        // borrowed into tasks while the plan keeps using the RNG and noise
-        // streams.
-        let queries = &mut self.queries;
-        let rng = &mut self.rng;
-        let noise = &mut self.noise;
-        let shed_pool = &mut self.shed_pool;
-
-        for (index, registered) in queries.iter_mut().enumerate() {
-            let rate = rates[index];
-            let predicted = predictions[index];
-
+    /// Stage *plan* (sequential, registration order): penalty accounting,
+    /// flow-hasher refresh, the RNG-driven packet samples and the
+    /// measurement-noise pre-draws — everything whose stream order the
+    /// sequential path fixed. Because the run-tail tasks then receive fully
+    /// determined inputs and only write their own query's state, the merged
+    /// output is bit-identical for any worker count (see DESIGN.md,
+    /// "Execution plane").
+    fn plan(&mut self, post_drop: &BatchView, rates: &[f64], interval: u64, costs: &mut BinCosts) {
+        let packets = post_drop.len() as u64;
+        for (registered, &rate) in self.queries.iter_mut().zip(rates) {
             if registered.penalty_remaining > 0 {
                 registered.penalty_remaining -= 1;
-                planned.push(Planned::Skip(QueryBinRecord {
-                    id: registered.id,
-                    name: registered.label.clone(),
-                    sampling_rate: 0.0,
-                    predicted_cycles: predicted,
-                    measured_cycles: 0.0,
-                    delivered_packets: 0,
-                    disabled: true,
-                }));
                 continue;
             }
             if rate <= 0.0 {
-                planned.push(Planned::Skip(QueryBinRecord {
-                    id: registered.id,
-                    name: registered.label.clone(),
-                    sampling_rate: 0.0,
-                    predicted_cycles: predicted,
-                    measured_cycles: 0.0,
-                    delivered_packets: 0,
-                    disabled: true,
-                }));
-                unsampled_accumulator += post_drop.len() as u64;
+                costs.unsampled_packets += packets;
                 continue;
             }
 
@@ -795,240 +811,115 @@ impl Monitor {
                 && registered.hasher_generation != interval
             {
                 registered.flow_hasher =
-                    H3Hasher::new(13, seed ^ (interval << 8) ^ registered.id.0);
+                    H3Hasher::new(13, self.config.seed ^ (interval << 8) ^ registered.id.0);
                 registered.hasher_generation = interval;
             }
 
-            // Construct the shed view. Packet sampling draws from the shared
-            // RNG, so it stays on the plan phase in registration order — the
-            // stream is consumed exactly as the sequential path does; flow
-            // sampling is deterministic per query and is deferred into the
-            // worker task.
-            let (view, needs_reextract) = if rate >= 1.0 {
-                (ShedView::Ready(post_drop.clone()), false)
-            } else {
-                match registered.shedding {
-                    SheddingMethod::PacketSampling => {
-                        let (sampled, _) = packet_sample_with(&post_drop, rate, rng, shed_pool);
-                        shedding_cycles += post_drop.len() as u64 * SAMPLING_TEST_CYCLES;
-                        (ShedView::Ready(sampled), true)
-                    }
-                    SheddingMethod::FlowSampling => {
-                        shedding_cycles += post_drop.len() as u64 * SAMPLING_TEST_CYCLES;
-                        (ShedView::FlowSampled(&registered.flow_hasher), true)
-                    }
-                    SheddingMethod::Custom => (ShedView::Ready(post_drop.clone()), false),
+            let slot = &mut registered.slot;
+            slot.rate = rate;
+            slot.plan = match registered.shedding {
+                _ if rate >= 1.0 => Plan::Full,
+                SheddingMethod::PacketSampling => {
+                    costs.shedding_cycles += packets * SAMPLING_TEST_CYCLES;
+                    let (sampled, _) =
+                        packet_sample_with(post_drop, rate, &mut self.rng, &mut self.shed_pool);
+                    Plan::PacketSampled(sampled)
                 }
+                SheddingMethod::FlowSampling => {
+                    costs.shedding_cycles += packets * SAMPLING_TEST_CYCLES;
+                    Plan::FlowSampled
+                }
+                SheddingMethod::Custom => Plan::Full,
             };
-
-            planned.push(Planned::Run(tasks.len()));
-            tasks.push(RunTask {
-                exec: &mut registered.exec,
-                shedding: registered.shedding,
-                post_drop: &post_drop,
-                view,
-                needs_reextract,
-                rate,
-                predicted,
-                // Pre-drawn in registration order: the noise RNG consumes a
-                // configuration-fixed number of samples per running query, so
-                // the stream matches the sequential path bit for bit.
-                noise: noise.draw(),
-                features: &features,
-                measured: 0.0,
-                outlier: false,
-                delivered_packets: 0,
-                reextract_ops: 0,
-            });
+            // The noise RNG consumes a configuration-fixed number of samples
+            // per running query, so pre-drawing in registration order keeps
+            // the stream bit-identical to the sequential path.
+            slot.noise = self.noise.draw();
         }
+    }
 
-        // Dispatch the expensive tail across the execution plane.
-        // lint:allow(telemetry-clock): tail dispatch wall time is ExecStats telemetry only
-        let dispatch_start = Instant::now();
+    /// Stage *run tail* (dispatched per query): see
+    /// [`RegisteredQuery::run_planned`].
+    fn run_tail(&mut self, post_drop: &BatchView, features: &FeatureVector) {
         exec::run_tasks_into(
-            workers,
-            &mut tasks,
-            |task| {
-                let delivered = match &task.view {
-                    ShedView::Ready(view) => view.clone(),
-                    ShedView::FlowSampled(hasher) => {
-                        flow_sample_with(
-                            task.post_drop,
-                            task.rate,
-                            hasher,
-                            &mut task.exec.shed_pool,
-                        )
-                        .0
-                    }
-                };
-                task.delivered_packets = delivered.len() as u64;
-
-                // Recompute the features over the sampled stream so the MLR
-                // history stays consistent (Section 4.3); the per-query extractor
-                // belongs to this task alone.
-                let sampled_features = if task.needs_reextract {
-                    let (extracted, ops) = task.exec.sampled_extractor.extract_view(&delivered);
-                    task.reextract_ops = ops;
-                    Some(extracted)
-                } else {
-                    None
-                };
-
-                // Run the query and measure its cycles.
-                let mut meter = CycleMeter::new();
-                task.exec.query.process_batch(&delivered, task.rate, &mut meter);
-                let (measured, outlier) = task.noise.apply(meter.cycles());
-                let measured = measured as f64;
-
-                // Feed the observation back into the prediction history. For
-                // custom shedding the assigned rate plays the same role as a
-                // sampling rate: the query is expected to scale its work by it.
-                let expected = task.predicted * task.rate;
-                let history_features: &FeatureVector =
-                    sampled_features.as_ref().unwrap_or(task.features);
-                if outlier {
-                    // Replace corrupted measurements with the prediction
-                    // (Section 3.2.4 / 4.4).
-                    task.exec.predictor.observe_corrupted(history_features, expected.max(0.0));
-                } else if task.shedding == SheddingMethod::Custom && task.rate < 1.0 {
-                    // Custom shedding: the history models the full-batch cost, so
-                    // scale the measurement by the requested rate.
-                    task.exec.predictor.observe(task.features, measured / task.rate.max(1e-6));
-                } else {
-                    task.exec.predictor.observe(history_features, measured);
-                }
-                task.measured = measured;
-                task.outlier = outlier;
-            },
-            &mut self.tail_timings,
+            self.config.workers,
+            &mut self.queries,
+            |registered| registered.run_planned(post_drop, features),
+            &mut self.tally,
         );
-        dispatch_wall_ns += dispatch_start.elapsed().as_nanos() as u64;
+    }
 
-        // Collect the task outputs, releasing the borrows on the query states.
-        struct TaskOutput {
-            rate: f64,
-            predicted: f64,
-            measured: f64,
-            outlier: bool,
-            delivered_packets: u64,
-            reextract_ops: u64,
-        }
-        let outputs: Vec<TaskOutput> = tasks
-            .into_iter()
-            .map(|task| TaskOutput {
-                rate: task.rate,
-                predicted: task.predicted,
-                measured: task.measured,
-                outlier: task.outlier,
-                delivered_packets: task.delivered_packets,
-                reextract_ops: task.reextract_ops,
-            })
-            .collect();
+    /// Stage *merge* (sequential, registration order): takes each plan back
+    /// out of its slot, so packet-sampled views return to the keep-list pool
+    /// before the next bin; folds the cycle sums in the order the sequential
+    /// path used; runs the Chapter 6 enforcement; builds the per-query
+    /// records.
+    fn merge(&mut self, post_drop: &BatchView, costs: &mut BinCosts) -> Vec<QueryBinRecord> {
+        let enforcement = self.config.enforcement;
+        let mut records = Vec::with_capacity(self.queries.len());
+        for registered in &mut self.queries {
+            let ran = !matches!(std::mem::take(&mut registered.slot.plan), Plan::Skip);
+            let slot = &registered.slot;
+            if ran {
+                costs.shedding_cycles += slot.reextract_ops * REEXTRACT_OP_CYCLES;
+                costs.unsampled_packets += post_drop.len() as u64 - slot.delivered_packets;
+                costs.query_cycles += slot.measured_cycles;
 
-        // Merge in registration order: every sum below folds in exactly the
-        // sequence the sequential path used.
-        let mut query_cycles_total = 0.0;
-        let mut query_records = Vec::with_capacity(self.queries.len());
-        for (registered, entry) in self.queries.iter_mut().zip(planned) {
-            let task_index = match entry {
-                Planned::Skip(record) => {
-                    query_records.push(record);
-                    continue;
-                }
-                Planned::Run(task_index) => task_index,
-            };
-            let output = &outputs[task_index];
-            shedding_cycles += output.reextract_ops * REEXTRACT_OP_CYCLES;
-            unsampled_accumulator += post_drop.len() as u64 - output.delivered_packets;
-            query_cycles_total += output.measured;
-
-            // Chapter 6 enforcement for custom load shedding queries.
-            let expected = output.predicted * output.rate;
-            if registered.shedding == SheddingMethod::Custom && expected > 0.0 && !output.outlier {
-                let overuse = output.measured / expected;
-                registered.overuse_ratio = 0.3 * overuse + 0.7 * registered.overuse_ratio;
-                if overuse > 1.0 + self.config.enforcement.tolerance {
-                    registered.violations += 1;
-                    if registered.violations >= self.config.enforcement.max_violations {
-                        registered.penalty_remaining = self.config.enforcement.penalty_bins;
+                let expected = slot.prediction * slot.rate;
+                if registered.shedding == SheddingMethod::Custom && expected > 0.0 && !slot.outlier
+                {
+                    let overuse = slot.measured_cycles / expected;
+                    registered.overuse_ratio = 0.3 * overuse + 0.7 * registered.overuse_ratio;
+                    if overuse > 1.0 + enforcement.tolerance {
+                        registered.violations += 1;
+                        if registered.violations >= enforcement.max_violations {
+                            registered.penalty_remaining = enforcement.penalty_bins;
+                            registered.violations = 0;
+                        }
+                    } else {
                         registered.violations = 0;
                     }
-                } else {
-                    registered.violations = 0;
                 }
             }
-
-            query_records.push(QueryBinRecord {
+            records.push(QueryBinRecord {
                 id: registered.id,
                 name: registered.label.clone(),
-                sampling_rate: output.rate,
-                predicted_cycles: output.predicted,
-                measured_cycles: output.measured,
-                delivered_packets: output.delivered_packets,
-                disabled: false,
+                sampling_rate: slot.rate,
+                predicted_cycles: slot.prediction,
+                measured_cycles: slot.measured_cycles,
+                delivered_packets: slot.delivered_packets,
+                disabled: !ran,
             });
         }
+        records
+    }
 
-        // Close the loop: smooth the prediction error and the shedding cost,
-        // account the bin against the capture buffer and update the buffer
-        // discovery threshold.
-        let shedding_cycles_f = shedding_cycles as f64;
+    /// Stage *close bin*: smooths the prediction error and the shedding
+    /// cost, accounts the bin against the capture buffer, updates the buffer
+    /// discovery threshold and remembers the reactive state for the next bin.
+    fn close_bin(&mut self, rates: &[f64], costs: &BinCosts) {
+        let shedding_cycles = costs.shedding_cycles as f64;
         let alpha = self.config.ewma_alpha;
-        self.shed_cycles_ewma = alpha * shedding_cycles_f + (1.0 - alpha) * self.shed_cycles_ewma;
+        self.shed_cycles_ewma = alpha * shedding_cycles + (1.0 - alpha) * self.shed_cycles_ewma;
         let expected_total: f64 =
-            predictions.iter().zip(rates.iter()).map(|(prediction, rate)| prediction * rate).sum();
-        if query_cycles_total > 0.0 && expected_total > 0.0 {
-            let observed_error = (1.0 - expected_total / query_cycles_total).max(0.0);
+            self.predictions.iter().zip(rates).map(|(prediction, rate)| prediction * rate).sum();
+        if costs.query_cycles > 0.0 && expected_total > 0.0 {
+            let observed_error = (1.0 - expected_total / costs.query_cycles).max(0.0);
             self.error_ewma = alpha * observed_error + (1.0 - alpha) * self.error_ewma;
         }
 
-        let total_cycles =
-            query_cycles_total + prediction_cycles as f64 + shedding_cycles_f + platform_cycles;
+        let total_cycles = costs.query_cycles
+            + costs.prediction_cycles as f64
+            + shedding_cycles
+            + self.config.platform_overhead_cycles;
         self.buffer.account_bin(total_cycles);
         self.update_buffer_discovery(total_cycles);
 
-        // Remember the reactive state for the next bin.
         let mean_rate =
             if rates.is_empty() { 1.0 } else { rates.iter().sum::<f64>() / rates.len() as f64 };
         self.reactive_rate = mean_rate.max(self.config.reactive_min_rate);
         self.reactive_consumed = total_cycles;
-        self.reactive_query_cycles = query_cycles_total;
-
-        let unsampled_packets = if self.queries.is_empty() {
-            0
-        } else {
-            unsampled_accumulator / self.queries.len() as u64
-        };
-
-        // Execution-plane telemetry: sequential time is everything this call
-        // spent outside its dispatches.
-        let total_bin_ns = bin_start.elapsed().as_nanos() as u64;
-        self.exec_stats.fold_bin(
-            total_bin_ns.saturating_sub(dispatch_wall_ns),
-            &[
-                self.extract_timings.ns(),
-                self.predict_timings.ns(),
-                self.shadow_timings.ns(),
-                self.tail_timings.ns(),
-            ],
-        );
-
-        Ok(BinRecord {
-            bin_index: batch.bin_index,
-            incoming_packets,
-            uncontrolled_drops,
-            unsampled_packets,
-            available_cycles,
-            predicted_cycles: predicted_total,
-            query_cycles: query_cycles_total,
-            prediction_cycles: prediction_cycles as f64,
-            shedding_cycles: shedding_cycles_f,
-            platform_cycles,
-            buffer_occupation: self.buffer.occupation(),
-            queries: query_records,
-            interval_outputs,
-            decision,
-        })
+        self.reactive_query_cycles = costs.query_cycles;
     }
 
     /// Slow-start-like buffer discovery (Section 4.1).
@@ -1063,10 +954,10 @@ impl Monitor {
                 // Shadow twins close intervals on the same boundaries so
                 // their per-interval state cannot grow without bound; their
                 // outputs are discarded (only their cycles matter).
-                if let Some(shadow) = registered.exec.shadow.as_mut() {
+                if let Some(shadow) = registered.shadow.as_mut() {
                     let _ = shadow.end_interval();
                 }
-                (registered.label.clone(), registered.exec.query.end_interval())
+                (registered.label.clone(), registered.query.end_interval())
             })
             .collect()
     }
@@ -1117,16 +1008,16 @@ impl Monitor {
             writer.f64(registered.overuse_ratio);
             writer.u32(registered.violations);
             writer.u32(registered.penalty_remaining);
-            registered.exec.query.save_state(writer)?;
-            match &registered.exec.shadow {
+            registered.query.save_state(writer)?;
+            match &registered.shadow {
                 None => writer.bool(false),
                 Some(shadow) => {
                     writer.bool(true);
                     shadow.save_state(writer)?;
                 }
             }
-            registered.exec.predictor.save_state(writer)?;
-            registered.exec.sampled_extractor.save_state(writer);
+            registered.predictor.save_state(writer)?;
+            registered.sampled_extractor.save_state(writer);
         }
         writer.u64(self.next_query_id);
         Ok(())
@@ -1217,13 +1108,12 @@ impl Monitor {
                 overuse_ratio,
                 violations,
                 penalty_remaining,
-                exec: QueryExecState {
-                    query,
-                    shadow,
-                    predictor,
-                    sampled_extractor,
-                    shed_pool: KeepListPool::new(),
-                },
+                query,
+                shadow,
+                predictor,
+                sampled_extractor,
+                shed_pool: KeepListPool::new(),
+                slot: BinSlot::default(),
             });
         }
         self.next_query_id = reader.u64()?;

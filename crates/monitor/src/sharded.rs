@@ -30,7 +30,7 @@
 use crate::config::{AllocationPolicy, MonitorConfig, Strategy};
 use crate::driver::{self, BinEngine, BinOutcome};
 use crate::error::NetshedError;
-use crate::exec::{run_tasks_into, ExecStats, TaskTimings};
+use crate::exec::{run_tasks_into, BinTally, ExecStats};
 use crate::monitor::{Monitor, QueryId};
 use crate::observer::RunObserver;
 use crate::report::{BinRecord, RunSummary};
@@ -79,8 +79,6 @@ pub struct ShardedMonitor {
     /// Shard-level execution telemetry (lane dispatch, not the per-lane
     /// query tails — those accumulate inside each lane's own stats).
     exec_stats: ExecStats,
-    /// Reusable lane-dispatch timing scratch.
-    timings: TaskTimings,
 }
 
 /// What one lane produced for one global bin.
@@ -125,21 +123,13 @@ impl ShardedMonitor {
             lane_config.validate()?;
             lanes.push(Monitor::new(lane_config));
         }
-        let allocator = match config.strategy {
-            // NoShedding has no allocation policy of its own; the coordinator
-            // still has to split the budget, and max-min CPU fairness is the
-            // neutral choice.
-            Strategy::NoShedding => AllocationPolicy::MmfsCpu.allocator(),
-            Strategy::Reactive(policy) | Strategy::Predictive(policy) => policy.allocator(),
-        };
         Ok(Self {
+            allocator: coordinator_allocator(config.strategy),
             config,
             lanes,
-            allocator,
             lane_capacity: vec![share; lanes_count],
             lane_demand: vec![0.0; lanes_count],
             exec_stats: ExecStats::default(),
-            timings: TaskTimings::new(),
         })
     }
 
@@ -178,16 +168,13 @@ impl ShardedMonitor {
         for lane in &mut self.lanes {
             lane.set_policy(strategy.control_policy());
         }
-        self.allocator = match strategy {
-            Strategy::NoShedding => AllocationPolicy::MmfsCpu.allocator(),
-            Strategy::Reactive(policy) | Strategy::Predictive(policy) => policy.allocator(),
-        };
+        self.allocator = coordinator_allocator(strategy);
     }
 
-    /// Shard-level execution telemetry: sequential front-end time (split,
-    /// coordination, merge) vs dispatched lane time, with projected
-    /// speedups over shard threads. Per-lane query-tail telemetry stays in
-    /// each lane's own [`Monitor::exec_stats`].
+    /// Shard-level execution telemetry, all of it measured: sequential
+    /// front-end time (split, coordination, merge) vs summed dispatched lane
+    /// time. Per-lane query-tail telemetry stays in each lane's own
+    /// [`Monitor::exec_stats`].
     pub fn exec_stats(&self) -> ExecStats {
         self.exec_stats
     }
@@ -284,7 +271,7 @@ impl ShardedMonitor {
             return Err(NetshedError::EmptyBatch { bin_index: batch.bin_index });
         }
         // lint:allow(telemetry-clock): front-end wall time feeds ExecStats only, never a decision
-        let sequential_start = Instant::now();
+        let bin_start = Instant::now();
         self.coordinate();
         let lane_count = self.lanes.len();
         let sub_batches = batch.split_shards(lane_count);
@@ -294,10 +281,9 @@ impl ShardedMonitor {
             .zip(sub_batches)
             .map(|(monitor, batch)| LaneTask { monitor, batch, outcome: None })
             .collect();
-        let shards = self.config.shards;
-        let sequential_ns = sequential_start.elapsed().as_nanos() as u64;
+        let mut tally = BinTally::default();
         run_tasks_into(
-            shards,
+            self.config.shards,
             &mut tasks,
             |task| {
                 task.outcome = Some(if task.batch.is_empty() {
@@ -308,10 +294,8 @@ impl ShardedMonitor {
                         .map(|record| LaneOutcome::Processed(Box::new(record)))
                 });
             },
-            &mut self.timings,
+            &mut tally,
         );
-        // lint:allow(telemetry-clock): merge wall time feeds ExecStats only, never a decision
-        let merge_start = Instant::now();
 
         // Collect in lane order; the first lane error (in lane order) wins.
         let mut records: Vec<BinRecord> = Vec::with_capacity(lane_count);
@@ -347,8 +331,7 @@ impl ShardedMonitor {
 
         let interval = interval_closed.then(|| merge_interval_outputs(&closed));
 
-        let merge_ns = merge_start.elapsed().as_nanos() as u64;
-        self.exec_stats.fold_bin(sequential_ns + merge_ns, &[self.timings.ns()]);
+        self.exec_stats.fold_bin(bin_start.elapsed().as_nanos() as u64, tally);
         Ok(BinOutcome::Lanes { interval, records })
     }
 
@@ -451,6 +434,16 @@ impl std::fmt::Debug for ShardedMonitor {
             .field("shards", &self.config.shards)
             .field("lane_capacity", &self.lane_capacity)
             .finish_non_exhaustive()
+    }
+}
+
+/// The coordinator's allocator for a strategy: the strategy's own
+/// allocation policy. `NoShedding` has none, but the coordinator still has to
+/// split the budget, and max-min CPU fairness is the neutral choice.
+fn coordinator_allocator(strategy: Strategy) -> Box<dyn netshed_fairness::AllocationStrategy> {
+    match strategy {
+        Strategy::NoShedding => AllocationPolicy::MmfsCpu.allocator(),
+        Strategy::Reactive(policy) | Strategy::Predictive(policy) => policy.allocator(),
     }
 }
 

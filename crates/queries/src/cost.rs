@@ -180,6 +180,13 @@ pub struct NoiseDraw {
     outlier_cycles: u64,
 }
 
+/// The identity draw: no jitter, no outlier.
+impl Default for NoiseDraw {
+    fn default() -> Self {
+        Self { jitter_factor: 1.0, outlier: false, outlier_cycles: 0 }
+    }
+}
+
 impl NoiseDraw {
     /// Applies the drawn disturbances to a deterministic cycle count,
     /// returning the disturbed value and whether it was hit by an outlier.
